@@ -58,16 +58,17 @@ Point RunSweep(Scheme scheme, double offered_iops) {
   spec.offered_iops = offered_iops;
   spec.region_bytes = bed.device(0).capacity_bytes();
   spec.max_outstanding = 8192;
-  workload::OpenLoopWorker w(bed.sim(), init, spec);
+  workload::WorkerStats stats;
+  workload::OpenLoopWorker w(bed.sim(), init, spec, stats);
   w.Start();
   const Tick warmup = Quick() ? Milliseconds(100) : Milliseconds(300);
   const Tick window = Quick() ? Milliseconds(150) : Milliseconds(500);
   bed.sim().RunUntil(warmup);
-  w.stats().Reset();
+  stats.Reset();
   bed.sim().RunUntil(warmup + window);
-  return {static_cast<double>(w.stats().total_ios()) / ToSec(window) / 1000.0,
-          static_cast<double>(w.stats().read_latency.p99()) / 1000.0,
-          static_cast<double>(w.stats().read_latency.p999()) / 1000.0};
+  return {static_cast<double>(stats.total_ios()) / ToSec(window) / 1000.0,
+          static_cast<double>(stats.read_latency.p99()) / 1000.0,
+          static_cast<double>(stats.read_latency.p999()) / 1000.0};
 }
 
 // --- Part 2: tenant-scale scenario suite -----------------------------------

@@ -104,7 +104,6 @@ void Network::BufferSend(Direction dir, int ssd, uint64_t bytes,
                              : client_sim_;
   outbox_[static_cast<size_t>(src)].push_back(
       PendingSend{when, dir, node_of(ssd), bytes, dest, std::move(deliver)});
-  ++pending_count_;
 }
 
 size_t Network::ReplayPending() {
@@ -250,7 +249,6 @@ size_t Network::ReplayPending() {
     }
     for (int n : touched_nodes_) uplink_delta_[static_cast<size_t>(n)] = 0;
   }
-  pending_count_ = 0;
   return replayed;
 }
 

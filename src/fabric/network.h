@@ -124,8 +124,15 @@ class Network {
 
   // True while buffered cross-shard sends await replay. The sharded
   // engine's coarsening probe: a coarsened epoch must end at the first
-  // sub-epoch that buffers a send (sim/shard.h).
-  bool has_pending() const { return pending_count_ > 0; }
+  // sub-epoch that buffers a send (sim/shard.h). Called only on the
+  // control thread while no shard is stepping, so it may read every
+  // outbox.
+  bool has_pending() const {
+    for (const auto& box : outbox_) {
+      if (!box.empty()) return true;
+    }
+    return false;
+  }
 
   // Route every message through `faults` (null detaches).
   void set_fault_injector(fault::FaultInjector* faults) { faults_ = faults; }
@@ -202,7 +209,6 @@ class Network {
   sim::Simulator* client_sim_ = nullptr;
   std::vector<sim::Simulator*> ssd_sims_;  // empty = plain mode
   std::vector<std::vector<PendingSend>> outbox_;
-  size_t pending_count_ = 0;
   Tick busy_until_[2] = {0, 0};
 
   // Rack mode state (num_nodes_ == 0 = flat single-node fabric). Indexed

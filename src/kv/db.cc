@@ -376,19 +376,24 @@ void KvDb::DrainStalled() {
 // ---------------------------------------------------------------------------
 
 std::vector<std::pair<Key, Value>> KvDb::MergeInputs(
-    const std::vector<SsTableRef>& inputs, bool to_bottom) const {
-  // Collect (key, recency, value); newest wins.
+    const std::vector<SsTableRef>& upper,
+    const std::vector<SsTableRef>& lower, bool to_bottom) const {
+  // Collect (key, recency, value); newest wins. Recency is position, as in
+  // Get, never table id: ids are handed out when a table is written, so a
+  // compaction output can carry a larger id than a newer L0 flush. Every
+  // upper input outranks the lower level, L0's by their index (newest
+  // last); a lower level's files never overlap, so they share one rank.
   struct Tagged {
     Key key;
     uint64_t recency;
     Value value;
   };
   std::vector<Tagged> all;
-  for (const auto& t : inputs) {
-    for (const auto& [k, v] : t->entries()) {
-      all.push_back(Tagged{k, t->id(), v});
-    }
-  }
+  auto collect = [&all](const SsTable& t, uint64_t recency) {
+    for (const auto& [k, v] : t.entries()) all.push_back(Tagged{k, recency, v});
+  };
+  for (size_t i = 0; i < upper.size(); ++i) collect(*upper[i], i + 1);
+  for (const auto& t : lower) collect(*t, 0);
   std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.recency > b.recency;
@@ -459,10 +464,11 @@ void KvDb::CompactIntoNext(int level) {
     }
   }
   bool to_bottom = next_level == config_.levels - 1;
-  auto finish_reads = [this, inputs, upper, lower, level, next_level,
-                       to_bottom, epoch]() {
+  auto finish_reads = [this, upper, lower, level, next_level, to_bottom,
+                       epoch]() {
     if (epoch != epoch_) return;  // crashed: compaction abandoned
-    std::vector<std::pair<Key, Value>> merged = MergeInputs(inputs, to_bottom);
+    std::vector<std::pair<Key, Value>> merged =
+        MergeInputs(upper, lower, to_bottom);
     if (merged.empty()) {
       // Everything was tombstones: just drop the inputs.
       for (const auto& t : upper) FreePlacement(*t);
@@ -660,7 +666,8 @@ void KvDb::Scan(Key start, uint32_t count, ScanDone done) {
   ++stats_.scans;
   const uint64_t epoch = epoch_;
   // Merge the live view of [start, ...): newest source wins per key.
-  // Memtable recency > immutables (newest-first) > tables by id.
+  // Memtable recency > immutables (newest-first) > L0 by index (newest
+  // last) > L1 > ... > the bottom level, by position as in Get.
   std::map<Key, std::pair<uint64_t, Value>> merged;  // key -> (recency, v)
   auto offer = [&](Key k, uint64_t recency, const Value& v) {
     auto it = merged.find(k);
@@ -695,7 +702,10 @@ void KvDb::Scan(Key start, uint32_t count, ScanDone done) {
   uint32_t block_reads = 0;
   std::vector<std::pair<BlobAddr, BlobAddr>> ios;
   for (int l = 0; l < config_.levels; ++l) {
-    for (const auto& t : levels_[l]) {
+    const auto& files = levels_[l];
+    for (size_t i = 0; i < files.size(); ++i) {
+      const SsTableRef& t = files[i];
+      const uint64_t recency = l == 0 ? config_.levels + i : config_.levels - l;
       if (t->max_key() < start) continue;
       const auto& entries = t->entries();
       auto it = std::lower_bound(
@@ -704,7 +714,7 @@ void KvDb::Scan(Key start, uint32_t count, ScanDone done) {
       if (it == entries.end()) continue;
       uint64_t touched = 0;
       for (uint32_t n = 0; it != entries.end() && n < count; ++it, ++n) {
-        offer(it->first, t->id(), it->second);
+        offer(it->first, recency, it->second);
         touched += it->second.bytes + Memtable::kEntryOverhead;
       }
       // One 256 KiB streaming read per touched chunk.

@@ -163,10 +163,12 @@ class KvDb {
   void MaybeStartFlush();
   void MaybeCompact();
   void CompactIntoNext(int level);
-  // Merge inputs (newest table wins per key); drop tombstones when
-  // `to_bottom` (nothing below can hold older versions).
+  // Merge `upper` (one level, oldest first) over `lower` (the next level)
+  // keeping the newest version per key; drop tombstones when `to_bottom`
+  // (nothing below can hold older versions).
   std::vector<std::pair<Key, Value>> MergeInputs(
-      const std::vector<SsTableRef>& inputs, bool to_bottom) const;
+      const std::vector<SsTableRef>& upper,
+      const std::vector<SsTableRef>& lower, bool to_bottom) const;
   // Build output tables from merged entries, allocate + write their blobs
   // (priority low), then `install`.
   void WriteTables(std::vector<std::pair<Key, Value>> entries,

@@ -59,26 +59,13 @@ void FioWorker::IssueOne() {
 
 void FioWorker::OnDone(const IoCompletion& cpl, Tick e2e) {
   --outstanding_;
-  if (!cpl.ok()) {
-    ++stats_.failed_ios;
-    // A dead connection rejects every resubmission instantly; looping on
-    // it would spin the event queue forever. Transient failures (media
-    // errors, fail-fast drains) keep the closed loop going.
-    if (initiator_.shutdown()) {
-      running_ = false;
-      return;
-    }
-    ScheduleNext();
+  stats_.Record(cpl, e2e);
+  // A dead connection rejects every resubmission instantly; looping on it
+  // would spin the event queue forever. Transient failures (media errors,
+  // fail-fast drains) keep the closed loop going.
+  if (!cpl.ok() && initiator_.shutdown()) {
+    running_ = false;
     return;
-  }
-  if (cpl.type == IoType::kRead) {
-    stats_.read_bytes += cpl.length;
-    ++stats_.read_ios;
-    stats_.read_latency.Record(e2e);
-  } else {
-    stats_.write_bytes += cpl.length;
-    ++stats_.write_ios;
-    stats_.write_latency.Record(e2e);
   }
   ScheduleNext();
 }

@@ -38,12 +38,28 @@ struct WorkerStats {
   // IOs that terminated with a non-ok status (docs/FAULTS.md); excluded
   // from the byte totals and latency histograms.
   uint64_t failed_ios = 0;
+  // Open-loop arrivals shed at max_outstanding (closed loops never shed).
+  uint64_t dropped = 0;
   LatencyHistogram read_latency;
   LatencyHistogram write_latency;
 
   uint64_t total_bytes() const { return read_bytes + write_bytes; }
   uint64_t total_ios() const { return read_ios + write_ios; }
   void Reset() { *this = WorkerStats{}; }
+  // Counts one completion with its client-observed e2e latency.
+  void Record(const IoCompletion& cpl, Tick e2e) {
+    if (!cpl.ok()) {
+      ++failed_ios;
+    } else if (cpl.type == IoType::kRead) {
+      read_bytes += cpl.length;
+      ++read_ios;
+      read_latency.Record(e2e);
+    } else {
+      write_bytes += cpl.length;
+      ++write_ios;
+      write_latency.Record(e2e);
+    }
+  }
 };
 
 class FioWorker {

@@ -82,7 +82,8 @@ void OpenLoopFleet::StartSession(uint32_t seat) {
   ws.region_bytes = bed_.device(ssd).capacity_bytes();
   ws.seed = spec_.seed ^ (static_cast<uint64_t>(tenant) * 0x9e3779b97f4a7c15ULL);
   ws.arrival = spec_.arrival;
-  s->worker = std::make_unique<OpenLoopWorker>(bed_.sim(), *s->init, ws);
+  s->worker =
+      std::make_unique<OpenLoopWorker>(bed_.sim(), *s->init, ws, stats_);
   s->worker->set_sample_fn(
       [this](TenantId t, const IoCompletion& cpl, Tick e2e) {
         if (cpl.ok()) {
@@ -116,21 +117,15 @@ void OpenLoopFleet::EndSession(uint32_t seat, bool replace) {
 }
 
 void OpenLoopFleet::Retire(std::unique_ptr<Session> s) {
+  // The stopped worker records nothing more into stats_. Shutdown dequeues
+  // the locally queued IOs at once but defers their failed-IO callbacks
+  // to zero-delay events, so those land after this, like the issued
+  // in-flight tail the fabric still returns: both reach the sample hook,
+  // neither reaches TotalStats(). The session outlives both in the
+  // graveyard (the disconnect capsule it waits for trails the aborts).
   s->worker->Stop();
   slo_.OnDisconnect(s->init->tenant());
-  // Shutdown aborts locally-queued IOs synchronously (their failed-IO
-  // callbacks run here), so fold stats afterwards; the graveyard then
-  // only waits for the fabric to return the issued in-flight tail.
   s->init->Shutdown();
-  const WorkerStats& ws = s->worker->stats();
-  retired_stats_.read_bytes += ws.read_bytes;
-  retired_stats_.write_bytes += ws.write_bytes;
-  retired_stats_.read_ios += ws.read_ios;
-  retired_stats_.write_ios += ws.write_ios;
-  retired_stats_.failed_ios += ws.failed_ios;
-  retired_stats_.read_latency.Merge(ws.read_latency);
-  retired_stats_.write_latency.Merge(ws.write_latency);
-  retired_dropped_ += s->worker->dropped();
   graveyard_.push_back(std::move(s));
   ArmSweep();
 }
@@ -145,7 +140,7 @@ void OpenLoopFleet::ArmSweep() {
 
 size_t OpenLoopFleet::SweepGraveyard() {
   // A retired initiator is reclaimable once nothing can call back into
-  // it: no queued IOs (Shutdown failed them synchronously), no issued IOs
+  // it: no queued IOs (Shutdown dequeued them), no issued IOs
   // still owed a completion by the fabric, and no control capsules still
   // crossing it (their delivery callbacks capture the initiator — under a
   // churn storm the capsule backlog alone can exceed a sweep period).
@@ -172,25 +167,6 @@ void OpenLoopFleet::Stop() {
 void OpenLoopFleet::ExportSlo(obs::MetricsRegistry& reg) {
   slo_.FinalizeWindows();
   slo_.Export(reg);
-}
-
-OpenLoopFleet::Totals OpenLoopFleet::TotalStats() const {
-  Totals t;
-  t.stats = retired_stats_;
-  t.dropped = retired_dropped_;
-  for (const auto& s : seats_) {
-    if (s == nullptr) continue;
-    const WorkerStats& ws = s->worker->stats();
-    t.stats.read_bytes += ws.read_bytes;
-    t.stats.write_bytes += ws.write_bytes;
-    t.stats.read_ios += ws.read_ios;
-    t.stats.write_ios += ws.write_ios;
-    t.stats.failed_ios += ws.failed_ios;
-    t.stats.read_latency.Merge(ws.read_latency);
-    t.stats.write_latency.Merge(ws.write_latency);
-    t.dropped += s->worker->dropped();
-  }
-  return t;
 }
 
 }  // namespace gimbal::workload

@@ -19,6 +19,10 @@
 // Every session's completions feed the SloTracker (obs/slo.h); call
 // Stop(), run the sim to idle, then ExportSlo() into a registry.
 //
+// Client-side stats are fleet-wide: every worker records into one
+// WorkerStats the fleet owns, so a session carries no latency histogram
+// (~2.6 KiB of memory in all, down the stack) and TotalStats() is a copy.
+//
 // All fleet activity — stagger timers, lifetime timers, RNG draws, the
 // sweep — executes on the testbed's client-domain simulator (shard 0), so
 // a sharded engine replays the exact same schedule at any thread count.
@@ -75,13 +79,17 @@ class OpenLoopFleet {
   size_t active_sessions() const { return active_; }
   size_t draining_sessions() const { return graveyard_.size(); }
 
-  // Cumulative stats over every session, live and dead. Shed arrivals
-  // (worker hit max_outstanding) are in `dropped`.
+  // Cumulative stats over every session, live and dead: the completions
+  // each session saw while it was live. A session stops recording when it
+  // retires, so its in-flight tail and the queued IOs its disconnect
+  // aborts are not here; the switch counters and the SloTracker (ok ones)
+  // still see them. Shed arrivals (worker hit max_outstanding) are in
+  // `dropped`.
   struct Totals {
     WorkerStats stats;
     uint64_t dropped = 0;
   };
-  Totals TotalStats() const;
+  Totals TotalStats() const { return {stats_, stats_.dropped}; }
 
   // Reclaim graveyard sessions whose initiators have fully drained;
   // returns the number still draining. Runs automatically on a timer
@@ -104,12 +112,10 @@ class OpenLoopFleet {
   FleetSpec spec_;
   Rng rng_;
   obs::SloTracker slo_;
+  WorkerStats stats_;  // every session's worker records here
   std::vector<std::unique_ptr<Session>> seats_;
   std::vector<std::unique_ptr<Session>> graveyard_;
   sim::TimerHandle sweep_timer_;
-  // Stats folded out of retired sessions (live ones are summed on demand).
-  WorkerStats retired_stats_;
-  uint64_t retired_dropped_ = 0;
   uint64_t connects_ = 0;
   uint64_t disconnects_ = 0;
   size_t active_ = 0;

@@ -6,14 +6,15 @@ namespace gimbal::workload {
 
 OpenLoopWorker::OpenLoopWorker(sim::Simulator& sim,
                                fabric::Initiator& initiator,
-                               OpenLoopSpec spec)
+                               OpenLoopSpec spec, WorkerStats& stats)
     : sim_(sim),
       initiator_(initiator),
       spec_(spec),
       rng_(spec.seed),
       // The MMPP dwell machine draws from its own stream so burst phase is
       // a property of the seed, not of how many IOs happened to arrive.
-      arrival_(spec.arrival, spec.seed ^ 0x6275727374ULL) {
+      arrival_(spec.arrival, spec.seed ^ 0x6275727374ULL),
+      stats_(stats) {
   assert(spec_.region_bytes >= spec_.io_bytes && "region not set");
   assert(spec_.offered_iops > 0);
   seq_cursor_ = rng_.NextBounded(spec_.region_bytes / spec_.io_bytes);
@@ -39,7 +40,7 @@ void OpenLoopWorker::Arrive() {
     // The system is hopelessly behind the offered load; shedding arrivals
     // keeps memory bounded (the latency histogram already shows the
     // explosion by this point).
-    ++dropped_;
+    ++stats_.dropped;
     return;
   }
   IoType type =
@@ -52,17 +53,7 @@ void OpenLoopWorker::Arrive() {
       type, spec_.region_offset + slot * spec_.io_bytes, spec_.io_bytes,
       spec_.priority, [this](const IoCompletion& cpl, Tick e2e) {
         --outstanding_;
-        if (!cpl.ok()) {
-          ++stats_.failed_ios;
-        } else if (cpl.type == IoType::kRead) {
-          stats_.read_bytes += cpl.length;
-          ++stats_.read_ios;
-          stats_.read_latency.Record(e2e);
-        } else {
-          stats_.write_bytes += cpl.length;
-          ++stats_.write_ios;
-          stats_.write_latency.Record(e2e);
-        }
+        if (running_) stats_.Record(cpl, e2e);
         if (sample_) sample_(cpl.tenant, cpl, e2e);
       });
 }

@@ -8,7 +8,8 @@
 // storms and a diurnal sinusoid, sampled exactly by thinning
 // (workload/arrivals.h). Large populations of workers with heavy-tailed
 // per-session rates are orchestrated by the OpenLoopFleet
-// (workload/fleet.h), which owns one OpenLoopWorker per live session.
+// (workload/fleet.h), which owns one OpenLoopWorker per live session and
+// one WorkerStats that all of them record into.
 #pragma once
 
 #include <cstdint>
@@ -36,21 +37,24 @@ struct OpenLoopSpec {
   ArrivalSpec arrival;
 };
 
+// Records completions and shed arrivals into a caller-owned WorkerStats
+// (which must outlive the worker), so many workers can share one record.
 class OpenLoopWorker {
  public:
   // Per-completion hook (fleet SLO tracking): tenant, completion,
   // client-observed e2e latency. Fires for every completion, ok or not,
-  // after the worker's own stats update.
+  // after the stats update — including completions after Stop().
   using SampleFn =
       std::function<void(TenantId, const IoCompletion&, Tick e2e)>;
 
   OpenLoopWorker(sim::Simulator& sim, fabric::Initiator& initiator,
-                 OpenLoopSpec spec);
+                 OpenLoopSpec spec, WorkerStats& stats);
 
   void Start();
   // Stops the arrival process and cancels the pending arrival timer, so a
   // stopped worker leaves nothing in the event queue that references it —
-  // the fleet reclaims workers mid-run relying on exactly this.
+  // the fleet reclaims workers mid-run relying on exactly this. IOs that
+  // complete after Stop() are not recorded into the stats.
   void Stop() {
     running_ = false;
     arrival_timer_.Cancel();
@@ -59,8 +63,6 @@ class OpenLoopWorker {
 
   void set_sample_fn(SampleFn fn) { sample_ = std::move(fn); }
 
-  WorkerStats& stats() { return stats_; }
-  uint64_t dropped() const { return dropped_; }
   uint32_t outstanding() const { return outstanding_; }
   const OpenLoopSpec& spec() const { return spec_; }
 
@@ -74,11 +76,10 @@ class OpenLoopWorker {
   Rng rng_;
   ArrivalProcess arrival_;
   sim::TimerHandle arrival_timer_;
-  WorkerStats stats_;
+  WorkerStats& stats_;
   SampleFn sample_;
   bool running_ = false;
   uint32_t outstanding_ = 0;
-  uint64_t dropped_ = 0;
   uint64_t seq_cursor_ = 0;
 };
 

@@ -104,19 +104,7 @@ void TraceWorker::ScheduleNext() {
     ++issued_;
     initiator_.Submit(rec.type, rec.offset, rec.length, rec.priority,
                       [this](const IoCompletion& cpl, Tick e2e) {
-                        if (!cpl.ok()) {
-                          ++stats_.failed_ios;
-                          return;
-                        }
-                        if (cpl.type == IoType::kRead) {
-                          stats_.read_bytes += cpl.length;
-                          ++stats_.read_ios;
-                          stats_.read_latency.Record(e2e);
-                        } else {
-                          stats_.write_bytes += cpl.length;
-                          ++stats_.write_ios;
-                          stats_.write_latency.Record(e2e);
-                        }
+                        stats_.Record(cpl, e2e);
                       });
     ScheduleNext();
   });

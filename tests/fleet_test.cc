@@ -9,7 +9,9 @@
 //     whole tenant slot (the weight once lived in a side map the
 //     disconnect path forgot to clear);
 //   * SLO export — the tracker's p99/p99.9 gauges and violation counters
-//     appear in the metrics JSON under their documented names.
+//     appear in the metrics JSON under their documented names;
+//   * footprint and accounting — a worker carries no histogram of its own,
+//     and the fleet-wide record is self-consistent under churn.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include "obs/obs.h"
 #include "obs/schema.h"
 #include "workload/fleet.h"
+#include "workload/openloop.h"
 #include "workload/runner.h"
 
 namespace gimbal::workload {
@@ -164,6 +167,64 @@ TEST(Slo, MetricsAppearInJsonExport) {
     EXPECT_NE(json.find(def->name), std::string::npos)
         << "metric " << def->name << " missing from JSON export";
   }
+}
+
+TEST(FleetStats, WorkerCarriesNoHistogram) {
+  // Every session records into the fleet's one WorkerStats; a histogram
+  // per session (two were ~30 KiB) must not creep back into the worker.
+  EXPECT_LE(sizeof(OpenLoopWorker), 1024u);
+}
+
+void ExpectSameHistogram(const LatencyHistogram& a, const LatencyHistogram& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.p50(), b.p50());
+  EXPECT_EQ(a.p999(), b.p999());
+}
+
+TEST(FleetStats, ChurnTotalsAreConsistent) {
+  Testbed bed(ChurnConfig(1, nullptr));
+  FleetSpec fs = ChurnSpec();
+  fs.sessions = 500;
+  fs.rates.mean_iops = 2000.0;
+  fs.session_lifetime_mean = Milliseconds(5);
+  OpenLoopFleet fleet(bed, fs);
+  fleet.Start();
+  bed.sim().RunUntil(Milliseconds(20));
+
+  // Reading the totals mid-run changes nothing.
+  const OpenLoopFleet::Totals mid = fleet.TotalStats();
+  const OpenLoopFleet::Totals again = fleet.TotalStats();
+  EXPECT_EQ(mid.stats.read_ios, again.stats.read_ios);
+  EXPECT_EQ(mid.stats.write_ios, again.stats.write_ios);
+  EXPECT_EQ(mid.stats.total_bytes(), again.stats.total_bytes());
+  EXPECT_EQ(mid.stats.failed_ios, again.stats.failed_ios);
+  EXPECT_EQ(mid.dropped, again.dropped);
+  ExpectSameHistogram(mid.stats.read_latency, again.stats.read_latency);
+  ExpectSameHistogram(mid.stats.write_latency, again.stats.write_latency);
+  EXPECT_GT(mid.stats.total_ios(), 0u);
+  EXPECT_GT(fleet.disconnects(), 0u) << "no session churned";
+
+  bed.sim().RunUntil(Milliseconds(40));
+  fleet.Stop();
+  bed.sim().Run();
+  EXPECT_EQ(fleet.SweepGraveyard(), 0u);
+
+  // The histograms hold exactly the counted completions.
+  const OpenLoopFleet::Totals end = fleet.TotalStats();
+  EXPECT_GT(end.stats.total_ios(), mid.stats.total_ios());
+  EXPECT_GT(end.stats.write_ios, 0u);
+  EXPECT_EQ(end.stats.read_latency.count(), end.stats.read_ios);
+  EXPECT_EQ(end.stats.write_latency.count(), end.stats.write_ios);
+
+  // The switches complete every IO; the clients count only those that
+  // landed while their session was live, never more.
+  uint64_t completions = 0;
+  for (int i = 0; i < bed.config().num_ssds; ++i) {
+    completions += bed.gimbal_switch(i)->stats().completions;
+  }
+  EXPECT_LE(end.stats.total_ios(), completions);
 }
 
 }  // namespace
