@@ -29,7 +29,6 @@
 #include <deque>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -205,60 +204,6 @@ double Fig11Wallclock(EventQueue::Impl impl, int instances, Tick measure) {
   return SecondsSince(t0);
 }
 
-struct SweepPoint {
-  int threads = 0;
-  double wall_ms = 0;
-  uint64_t epochs = 0;        // engine barrier count (thread-invariant)
-  uint64_t idle_wakeups = 0;  // doorbells that claimed nothing
-  // Hardware threads visible to *this point's* run. Recorded per point so
-  // the CI speedup gate can tell a genuine regression from a starved
-  // runner: a point with hardware_threads < threads measured
-  // oversubscription, not parallelism, and must be skipped, not failed.
-  unsigned hardware_threads = 0;
-};
-
-// Sharded-engine threads sweep (docs/SIMULATOR.md): a Fig 11-style KV
-// scenario wide enough to shard — one pipeline per target core, six cores —
-// run to the same simulated instant at several worker-thread counts. The
-// schedule is bit-identical at every count (the determinism suite pins
-// that); only the wall clock may move. Serial (threads=1) is the baseline.
-SweepPoint ShardedWallclock(int threads, int instances, Tick measure) {
-  kv::KvClusterConfig cfg;
-  cfg.testbed.scheme = Scheme::kGimbal;
-  cfg.testbed.num_ssds = 6;
-  cfg.testbed.target.cores = 6;
-  cfg.testbed.condition = SsdCondition::kFragmented;
-  cfg.testbed.ssd.logical_bytes = 128ull << 20;
-  cfg.testbed.threads = threads;
-  cfg.testbed.run_label = "bench_sim:threads" + std::to_string(threads);
-  cfg.hba.backend_bytes = 128ull << 20;
-  cfg.db.memtable_bytes = 1ull << 20;
-  kv::KvCluster cluster(cfg);
-  std::vector<std::unique_ptr<kv::YcsbClient>> clients;
-  for (int i = 0; i < instances; ++i) {
-    auto& inst = cluster.AddInstance();
-    inst.db->BulkLoad(5'000, 1024);
-    workload::YcsbSpec spec;
-    spec.workload = workload::YcsbWorkload::kB;
-    spec.record_count = 5'000;
-    spec.seed = static_cast<uint64_t>(i) + 1;
-    clients.push_back(
-        std::make_unique<kv::YcsbClient>(cluster.sim(), *inst.db, spec, 16));
-  }
-  for (auto& c : clients) c->Start();
-  const auto t0 = Clock::now();
-  cluster.sim().RunUntil(measure);
-  SweepPoint p;
-  p.threads = threads;
-  p.wall_ms = SecondsSince(t0) * 1e3;
-  p.hardware_threads = std::thread::hardware_concurrency();
-  if (sim::ShardedEngine* eng = cluster.bed().engine()) {
-    p.epochs = eng->epochs();
-    p.idle_wakeups = eng->idle_wakeups();
-  }
-  return p;
-}
-
 void JsonEscapePrint(FILE* f, const std::string& s) {
   std::fputc('"', f);
   for (char c : s) {
@@ -331,31 +276,6 @@ int main(int argc, char** argv) {
               fig11_heap * 1e3,
               fig11_wheel > 0 ? fig11_heap / fig11_wheel : 0);
 
-  const int kSweepThreads[] = {1, 2, 4};
-  const int kSweepInstances = quick ? 6 : 12;
-  const Tick kSweepMeasure = quick ? Milliseconds(60) : Milliseconds(200);
-  const unsigned hw = std::thread::hardware_concurrency();
-  SweepPoint sweep[3];
-  std::printf("\nsharded-engine threads sweep (6 SSDs / 6 cores, %d KV "
-              "instances, %.0f ms simulated, %u hardware threads):\n",
-              kSweepInstances, ToSec(kSweepMeasure) * 1e3, hw);
-  if (hw < 4) {
-    std::printf("  note: fewer hardware threads than the widest point; "
-                "oversubscribed points measure epoch-barrier overhead, "
-                "not parallel speedup\n");
-  }
-  for (size_t i = 0; i < 3; ++i) {
-    sweep[i] =
-        ShardedWallclock(kSweepThreads[i], kSweepInstances, kSweepMeasure);
-    std::printf("  threads=%d  %8.1f ms wall   speedup %.2fx   "
-                "epochs %llu   idle_wakeups %llu\n",
-                sweep[i].threads, sweep[i].wall_ms,
-                sweep[i].wall_ms > 0 ? sweep[0].wall_ms / sweep[i].wall_ms
-                                     : 0,
-                static_cast<unsigned long long>(sweep[i].epochs),
-                static_cast<unsigned long long>(sweep[i].idle_wakeups));
-  }
-
   std::printf("\nInlineFn heap fallbacks over the hot loops: %llu\n",
               static_cast<unsigned long long>(fallbacks_after -
                                               fallbacks_before));
@@ -403,24 +323,6 @@ int main(int argc, char** argv) {
                kInstances, ToSec(kMeasure) * 1e3, fig11_wheel * 1e3,
                fig11_heap * 1e3,
                fig11_wheel > 0 ? fig11_heap / fig11_wheel : 0);
-  std::fprintf(f, "  \"threads_sweep\": {\"ssds\": 6, \"instances\": %d, "
-               "\"simulated_ms\": %.0f, \"hardware_threads\": %u, "
-               "\"points\": [\n",
-               kSweepInstances, ToSec(kSweepMeasure) * 1e3, hw);
-  for (size_t i = 0; i < 3; ++i) {
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"wall_ms\": %.1f, "
-                 "\"speedup_vs_serial\": %.3f, \"hardware_threads\": %u, "
-                 "\"epochs\": %llu, \"idle_wakeups\": %llu}%s\n",
-                 sweep[i].threads, sweep[i].wall_ms,
-                 sweep[i].wall_ms > 0 ? sweep[0].wall_ms / sweep[i].wall_ms
-                                      : 0,
-                 sweep[i].hardware_threads,
-                 static_cast<unsigned long long>(sweep[i].epochs),
-                 static_cast<unsigned long long>(sweep[i].idle_wakeups),
-                 i + 1 < 3 ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"headline\": {\"scenario\": \"timeout_churn\", "
                "\"pending\": %zu, \"speedup\": %.3f, \"target\": 1.5}\n}\n",

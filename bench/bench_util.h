@@ -50,14 +50,6 @@ inline uint64_t g_seed = 0;
 // wheel's bit-for-bit (docs/SIMULATOR.md).
 inline sim::EventQueue::Impl g_queue = sim::EventQueue::Impl::kTimingWheel;
 
-// --threads=N: worker threads for the sharded engine behind every testbed
-// (docs/SIMULATOR.md). Multi-SSD testbeds run one shard per used target
-// core; N > 1 executes shards in parallel within conservative-lookahead
-// epochs. Results — stdout tables, metrics, trace digests — are
-// bit-identical at any N; the golden suite pins that down by replaying
-// quick configs at several thread counts.
-inline int g_threads = 1;
-
 // Per-binary observability session. Construct first thing in main():
 //
 //   int main(int argc, char** argv) {
@@ -77,8 +69,6 @@ inline int g_threads = 1;
 //   --quick              shrink the bench to its golden-figure quick config
 //   --seed=N             shift workload RNG seeds by N (default 0)
 //   --queue=wheel|heap   event-queue engine (default wheel)
-//   --threads=N          sharded-engine worker threads (default 1);
-//                        never changes any result, only wall-clock
 //   --digest-out=PATH    enable the tracer and write its FNV digest as
 //                        16 hex chars; bit-identical across runs and
 //                        wheel/heap for the same config
@@ -116,18 +106,6 @@ class ObsSession {
         } else {
           std::fprintf(stderr, "warning: bad --queue '%s', keeping wheel\n",
                        queue.c_str());
-        }
-        continue;
-      }
-      std::string threads;
-      if (TakeValue(a, "--threads=", &threads)) {
-        char* end = nullptr;
-        const long n = std::strtol(threads.c_str(), &end, 10);
-        if (end == threads.c_str() || *end != '\0' || n < 1) {
-          std::fprintf(stderr, "warning: bad --threads '%s', keeping 1\n",
-                       threads.c_str());
-        } else {
-          g_threads = static_cast<int>(n);
         }
         continue;
       }
@@ -247,7 +225,6 @@ inline TestbedConfig MicroConfig(Scheme scheme, SsdCondition cond) {
   cfg.ssd.logical_bytes = 512ull << 20;
   cfg.obs = CurrentObs();
   cfg.queue_impl = g_queue;
-  cfg.threads = g_threads;
   return cfg;
 }
 

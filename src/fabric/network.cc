@@ -135,8 +135,8 @@ size_t Network::ReplayPending() {
   auto replay_one = [&](PendingSend& p) {
     Tick fault_delay = 0;
     if (faults_) {
-      // Link-fault draws happen here, in canonical replay order on the
-      // control thread, so the fault RNG stream is thread-count invariant.
+      // Link-fault draws happen here, in canonical replay order, so the
+      // fault RNG stream does not depend on the order shards step in.
       const fault::FaultInjector::LinkFault lf = faults_->OnLinkMessage(p.when);
       if (lf.drop) {
         ++messages_dropped_;

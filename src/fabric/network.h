@@ -20,8 +20,8 @@
 //     guarantees is never in any shard's past (docs/SIMULATOR.md).
 //
 // Because the canonical replay order is a pure function of simulated
-// times and shard structure, the resulting schedule is bit-identical for
-// any worker-thread count.
+// times and shard structure, the resulting schedule does not depend on
+// the order shards step in within an epoch.
 #pragma once
 
 #include <cstdint>
@@ -111,9 +111,8 @@ class Network {
   }
 
   // Fold every buffered cross-shard message into the shared link in
-  // canonical order and schedule its delivery. Runs on the control thread
-  // at epoch barriers, while all shards are quiescent. Returns the number
-  // of messages replayed.
+  // canonical order and schedule its delivery. Runs at epoch barriers,
+  // while no shard is stepping. Returns the number of messages replayed.
   //
   // The replay is a k-way merge over the per-source outboxes (each is
   // time-sorted: shard clocks are monotone within an epoch) with link
@@ -124,9 +123,8 @@ class Network {
 
   // True while buffered cross-shard sends await replay. The sharded
   // engine's coarsening probe: a coarsened epoch must end at the first
-  // sub-epoch that buffers a send (sim/shard.h). Called only on the
-  // control thread while no shard is stepping, so it may read every
-  // outbox.
+  // sub-epoch that buffers a send (sim/shard.h). Called only while no
+  // shard is stepping.
   bool has_pending() const {
     for (const auto& box : outbox_) {
       if (!box.empty()) return true;
@@ -155,8 +153,8 @@ class Network {
   // Register a node outage window [fail_at, recover_at) (recover_at 0 =
   // never recovers): every message to or from the node whose *send time*
   // falls inside the window is dropped. Down-ness is a pure function of
-  // (node, send time), so sharded replay on the control thread makes the
-  // same drop decisions at any worker-thread count.
+  // (node, send time), so sharded replay makes the same drop decisions
+  // as a single-simulator run.
   void AddNodeOutage(int node, Tick fail_at, Tick recover_at);
   bool NodeDown(int node, Tick when) const;
 

@@ -132,6 +132,9 @@ class KvDb {
 
   // Introspection for tests.
   size_t FilesAt(int level) const { return levels_[level].size(); }
+  const std::vector<SsTableRef>& TablesAt(int level) const {
+    return levels_[level];
+  }
   uint64_t BytesAt(int level) const;
   uint64_t memtable_bytes() const { return memtable_.bytes(); }
   size_t immutable_count() const { return immutables_.size(); }

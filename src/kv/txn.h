@@ -16,7 +16,7 @@
 //
 // Determinism: every structure here lives on the client shard next to the
 // DB instance that owns it and is driven purely by simulated-time events,
-// so sharded runs are bit-identical at any worker-thread count. Conflict
+// so sharded runs reproduce the same schedule on every run. Conflict
 // decisions are keyed on transaction timestamps (a monotonic counter a
 // restarted transaction keeps), never on wall clock or iteration order of
 // unordered containers.

@@ -202,14 +202,8 @@ inline constexpr MetricDef kRackNodeDrops{
 inline constexpr MetricDef kShardEpochs{
     "shard.epochs", "epochs",
     "full synchronization rounds the sharded engine has run (epoch "
-    "coarsening makes this shrink on sparse cross-shard traffic; "
-    "identical at any thread count)",
-    "workload/runner.cc:PublishEngineMetrics"};
-inline constexpr MetricDef kShardIdleWakeups{
-    "shard.idle_wakeups", "wakeups",
-    "worker doorbell rings that claimed zero shards — stays 0 unless "
-    "claim racing leaves a woken worker empty-handed (never on sparse "
-    "traffic, where single-active epochs ring no doorbell)",
+    "coarsening makes this shrink on sparse cross-shard traffic without "
+    "changing the schedule)",
     "workload/runner.cc:PublishEngineMetrics"};
 inline constexpr MetricDef kTxnCommits{
     "txn.commits", "txns",

@@ -1,4 +1,4 @@
-// Conservative-lookahead parallel scheduler over per-shard simulators.
+// Conservative-lookahead epoch scheduler over per-shard simulators.
 //
 // A sharded testbed partitions the event space structurally: shard 0 owns
 // the client domain (initiators, workers, KV layer, crash timers) and each
@@ -26,30 +26,25 @@
 // sends to replay or when several shards need a common horizon. Right
 // after a barrier every outbox is empty, so whenever exactly one shard
 // holds pending events the engine runs that shard's uniform sub-epochs
-// back to back on the control thread — no worker doorbells, no done
-// waits — calling the barrier hook at each quiet sub-boundary (replay is
-// a no-op there) and stopping only once the shard buffers a cross-shard
-// send. The executed schedule, the barrier-hook call sequence and hence
-// the stitched trace are bit-identical to the uniform engine's; only the
-// number of full synchronization rounds (epochs()) drops. On sparse
-// cross-shard traffic this collapses most barriers
+// back to back, calling the barrier hook at each quiet sub-boundary
+// (replay is a no-op there) and stopping only once the shard buffers a
+// cross-shard send. The executed schedule, the barrier-hook call sequence
+// and hence the stitched trace are bit-identical to the uniform engine's;
+// only the number of full synchronization rounds (epochs()) drops. On
+// sparse cross-shard traffic this collapses most barriers
 // (tests/shard_adaptive_test.cc pins both the digest identity and the
 // reduction).
 //
-// Determinism: the schedule inside a shard never depends on other shards
-// within an epoch, horizons and the coarsening decision are pure
-// functions of queue states at the barrier, and the barrier replays
-// buffered sends in a canonical (send_time, source shard, issue order)
-// order — so the full event trace is bit-identical for any worker-thread
-// count, including 1. The thread count only chooses how many shards
-// execute concurrently per epoch.
+// Determinism: every epoch steps its active shards one after another in
+// index order, horizons and the coarsening decision are pure functions of
+// queue states at the barrier, and the barrier replays buffered sends in a
+// canonical (send_time, source shard, issue order) order, so the full
+// event trace is a pure function of the configuration and seed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/time.h"
@@ -60,7 +55,6 @@ namespace gimbal::sim {
 class ShardedEngine : public Simulator::Engine {
  public:
   struct Config {
-    int threads = 1;  // worker pool size (clamped to [1, num_shards])
     Tick lookahead = 0;  // min cross-shard latency; must be > 0
     EventQueue::Impl impl = EventQueue::Impl::kTimingWheel;
     // Coarsen single-shard stretches into one synchronization round (see
@@ -68,11 +62,6 @@ class ShardedEngine : public Simulator::Engine {
     // forces a full barrier per uniform epoch, which the adaptive-epoch
     // tests use as the A side of their A/B digest comparison.
     bool adaptive = true;
-    // Epochs whose active shards hold fewer than this many live events in
-    // total run on the control thread even when workers are available:
-    // waking a worker costs more than a handful of events. Purely a
-    // dispatch heuristic — the schedule is identical either way.
-    size_t serial_grain = 32;
   };
 
   ShardedEngine(int num_shards, const Config& config);
@@ -83,13 +72,12 @@ class ShardedEngine : public Simulator::Engine {
 
   Simulator& shard(int i) { return *shards_[i]; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  int threads() const { return threads_; }
 
-  // Runs on the control thread at every epoch barrier (all shards
-  // quiescent) and at every quiet sub-epoch boundary inside a coarsened
-  // epoch. The testbed hooks the network's cross-shard replay and its
-  // trace batch marks here. Keep it cheap: it runs once per uniform
-  // epoch, which is the engine's synchronization constant factor.
+  // Runs at every epoch barrier (no shard stepping) and at every quiet
+  // sub-epoch boundary inside a coarsened epoch. The testbed hooks the
+  // network's cross-shard replay and its trace batch marks here. Keep it
+  // cheap: it runs once per uniform epoch, which is the engine's
+  // synchronization constant factor.
   void set_barrier_fn(std::function<void()> fn) { barrier_fn_ = std::move(fn); }
 
   // Runs once at the end of every EngineRunUntil / EngineRunToIdle, after
@@ -113,41 +101,18 @@ class ShardedEngine : public Simulator::Engine {
   void EngineRunUntil(Tick deadline) override;
   void EngineRunToIdle() override;
 
-  // Full synchronization rounds (worker dispatch + replay barrier) so far.
-  // Coarsening makes this *smaller* for the same run, never different
-  // across thread counts.
+  // Full synchronization rounds (replay barriers) so far. Coarsening makes
+  // this *smaller* for the same run, never changes the schedule.
   uint64_t epochs() const { return epochs_; }
 
-  // Times a worker was woken for an epoch and then claimed no shard. The
-  // control thread rings exactly min(workers, active_shards - 1)
-  // doorbells, so this stays 0 unless claim racing leaves a woken worker
-  // empty-handed; on sparse traffic (single active shard per epoch) no
-  // doorbell rings at all. Surfaced as the `shard.idle_wakeups` metric.
-  uint64_t idle_wakeups() const {
-    return idle_wakeups_.load(std::memory_order_relaxed);
-  }
-
   // Shard context of the currently-executing event, or -1 / nullptr when
-  // no shard event is running (control thread between epochs, or a plain
-  // unsharded simulator). Thread-local.
+  // no shard event is running (between epochs, or a plain unsharded
+  // simulator).
   static int CurrentShard();
   static Simulator* CurrentSim();
 
  private:
   static constexpr Tick kNone = -1;
-  static constexpr int kSpinLimit = 4096;
-
-  // One cache line per worker: the control thread publishes an epoch by
-  // storing its sequence number into `go` (a doorbell only that worker
-  // reads) and the worker posts the same number into `done` when its claim
-  // loop drains. `parked`/the engine-wide `waiting_` flag implement an
-  // eventcount: futex syscalls happen only when the other side actually
-  // went to sleep, so back-to-back epochs synchronize with plain loads.
-  struct alignas(64) WorkerSlot {
-    std::atomic<uint64_t> go{0};
-    std::atomic<uint64_t> done{0};
-    std::atomic<uint32_t> parked{0};
-  };
 
   // Computes the uniform horizon for the next epoch from the shards' queue
   // states; returns false when no event is pending at or before
@@ -155,39 +120,26 @@ class ShardedEngine : public Simulator::Engine {
   // holds events, which is what arms coarsening in RunEpoch.
   bool ComputeEpoch(Tick deadline);
   void RunEpoch(Tick deadline);
+  // Steps shard `i` up to the current epoch end with its shard context set.
+  void Step(int i);
   // Runs the single live shard's uniform sub-epochs back to back until it
   // buffers a send, drains, or passes `deadline`.
   void RunCoarse(Tick deadline);
   void Barrier();
   void RunEnd();
-  void WorkerMain(int index);
-  bool RunClaimedShards();  // claim loop shared by workers and control
-  void Ring(WorkerSlot& slot, uint64_t seq);
-  void WaitDone(WorkerSlot& slot, uint64_t seq);
 
   std::vector<std::unique_ptr<Simulator>> shards_;
   Tick lookahead_;
-  int threads_;
   bool adaptive_;
-  size_t serial_grain_;
   std::function<void()> barrier_fn_;
   std::function<void()> run_end_fn_;
   std::function<bool()> pending_sends_fn_;
   uint64_t epochs_ = 0;
 
-  // Epoch state: written by the control thread while every worker is
-  // parked (enforced by last epoch's done wait), published by the
-  // release store in Ring().
+  // Epoch state, recomputed at every barrier.
   std::vector<int> active_;  // shard indices with events in this epoch
   Tick epoch_end_ = 0;
   int sole_live_ = -1;  // the only shard with pending events, or -1
-  uint64_t seq_ = 0;  // control-thread epoch sequence
-  std::atomic<uint64_t> next_claim_{0};
-  std::atomic<uint32_t> waiting_{0};  // control parked on a done counter
-  std::atomic<uint64_t> idle_wakeups_{0};
-  std::atomic<bool> quit_{false};
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace gimbal::sim

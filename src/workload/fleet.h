@@ -25,7 +25,7 @@
 //
 // All fleet activity — stagger timers, lifetime timers, RNG draws, the
 // sweep — executes on the testbed's client-domain simulator (shard 0), so
-// a sharded engine replays the exact same schedule at any thread count.
+// a sharded engine replays the exact same schedule on every run.
 #pragma once
 
 #include <cstdint>

@@ -49,18 +49,15 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
          "num_ssds must divide evenly across nodes");
   ssds_per_node_ = cfg_.num_ssds / cfg_.nodes;
 
-  // Sharding is structural, not a function of the thread count: the same
-  // shard/epoch schedule runs whether 1 or N threads execute it, which is
-  // what makes the determinism contract trivial to honor. A single-SSD
-  // testbed (or a zero-latency fabric, which admits no lookahead) keeps
-  // the original single-simulator path unchanged.
+  // Sharding is structural: a multi-SSD testbed always runs the same
+  // shard/epoch schedule. A single-SSD testbed (or a zero-latency fabric,
+  // which admits no lookahead) keeps the original single-simulator path
+  // unchanged.
   const bool sharded = cfg_.num_ssds > 1 && cfg_.net.base_latency > 0;
   if (sharded) {
-    // (node, core) topology: one shard per used core per node, so a rack
-    // bed's schedule — like the single node's — is thread-count invariant.
+    // (node, core) topology: one shard per used core per node.
     used_cores_ = std::min(cfg_.target.cores, ssds_per_node_);
     sim::ShardedEngine::Config ec;
-    ec.threads = cfg_.threads;
     ec.lookahead = cfg_.net.base_latency;
     ec.impl = cfg_.queue_impl;
     // Coarsening merges single-shard stretches into one synchronization
@@ -96,7 +93,6 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   }
   check_->AttachSim(sim_);
   if (cfg_.obs) check_->AttachTracer(&cfg_.obs->tracer);
-  check_->SetConcurrent(engine_ && engine_->threads() > 1);
 
   net_ = std::make_unique<fabric::Network>(*sim_, cfg_.net);
   faults_ = std::make_unique<fault::FaultInjector>(*sim_, cfg_.num_ssds,
@@ -358,8 +354,6 @@ void Testbed::PublishEngineMetrics() {
   obs::MetricsRegistry& reg = cfg_.obs->metrics;
   reg.GetGauge(schema::kShardEpochs)
       .Set(static_cast<double>(engine_->epochs()));
-  reg.GetGauge(schema::kShardIdleWakeups)
-      .Set(static_cast<double>(engine_->idle_wakeups()));
 }
 
 std::unique_ptr<core::IoPolicy> Testbed::MakePolicy(sim::Simulator& psim,

@@ -10,11 +10,11 @@
 // used target core hosts its pipelines, SSD models and fault state on its
 // own shard. Cross-shard traffic flows only through the Network, which
 // buffers sends per shard and replays them in one canonical order at every
-// epoch barrier. TestbedConfig::threads sizes the worker pool; the
-// schedule — and so every trace digest and golden figure — is bit-identical
-// for any thread count, because threads only execute independently-claimed
-// shards within conservative-lookahead epochs. Single-SSD (or zero-latency)
-// testbeds keep the exact pre-sharding single-simulator path.
+// epoch barrier. Shards step one after another in index order within
+// conservative-lookahead epochs, so the schedule, and with it every trace
+// digest and golden figure, is a pure function of the configuration and
+// seed. Single-SSD (or zero-latency) testbeds keep the exact pre-sharding
+// single-simulator path.
 #pragma once
 
 #include <memory>
@@ -63,8 +63,7 @@ struct TestbedConfig {
   // are per node), fabric messages serialize on the shared uplink and the
   // node's access link, and replica placement / whole-node faults become
   // node-aware. Shard topology generalizes to (node, core): one shard per
-  // used core per node, so rack runs stay bit-identical at any thread
-  // count.
+  // used core per node, on the same epoch schedule as single-node runs.
   int nodes = 1;
   // Shared ToR uplink bandwidth (bytes/sec); 0 = same as net.bandwidth_bps.
   double uplink_bps = 0;
@@ -79,13 +78,6 @@ struct TestbedConfig {
   baselines::FlashFqParams flashfq = {};
   baselines::TimesliceParams timeslice = {};
   bool use_null_device = false;  // Table 1b's NULL bdev mode
-
-  // Worker threads for the sharded engine (see file header). 1 — the
-  // default — runs the sharded schedule on the calling thread alone; N > 1
-  // adds N-1 workers. Has no effect on single-SSD testbeds and NO effect
-  // on results at any value: determinism is a hard contract, enforced by
-  // the golden-figure suite at several thread counts.
-  int threads = 1;
 
   // Fault injection (docs/FAULTS.md). A non-empty plan wraps every SSD in
   // a FaultyDevice, routes fabric messages through the injector when link

@@ -3,8 +3,7 @@
 //
 //   * churn storm — ~100k connect/disconnect cycles on a sharded 2-SSD
 //     testbed must drain to nothing: no live target sessions, no scheduler
-//     tenants, every arena slot recycled, ledgers balanced, and the trace
-//     digest bit-identical at 1/2/4 worker threads;
+//     tenants, every arena slot recycled, ledgers balanced;
 //   * weight-leak regression — SetTenantWeight + Disconnect must reap the
 //     whole tenant slot (the weight once lived in a side map the
 //     disconnect path forgot to clear);
@@ -28,13 +27,12 @@
 namespace gimbal::workload {
 namespace {
 
-TestbedConfig ChurnConfig(int threads, obs::Observability* obs) {
+TestbedConfig ChurnConfig(obs::Observability* obs) {
   TestbedConfig cfg;
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.num_ssds = 2;  // >1 SSD + fabric latency => sharded engine
   cfg.ssd.logical_bytes = 64ull << 20;
-  cfg.threads = threads;
   cfg.obs = obs;
   cfg.run_label = "fleet_churn";
   return cfg;
@@ -55,15 +53,9 @@ FleetSpec ChurnSpec() {
   return fs;
 }
 
-struct ChurnResult {
-  uint64_t connects = 0;
-  uint64_t digest = 0;
-};
-
-ChurnResult RunChurnStorm(int threads) {
+TEST(FleetChurn, StormDrainsClean) {
   obs::Observability obs;
-  obs.tracer.Enable(4u << 20);
-  Testbed bed(ChurnConfig(threads, &obs));
+  Testbed bed(ChurnConfig(&obs));
   OpenLoopFleet fleet(bed, ChurnSpec());
   fleet.Start();
   bed.sim().RunUntil(Milliseconds(50));
@@ -97,18 +89,6 @@ ChurnResult RunChurnStorm(int threads) {
 
   // Ledger balance across the whole storm (admit == terminal everywhere).
   EXPECT_TRUE(bed.checker().CheckDrained());
-  EXPECT_EQ(obs.tracer.dropped(), 0u);
-  return {fleet.connects(), obs.tracer.Digest()};
-}
-
-TEST(FleetChurn, StormDrainsCleanAndIsThreadCountInvariant) {
-  const ChurnResult t1 = RunChurnStorm(1);
-  const ChurnResult t2 = RunChurnStorm(2);
-  const ChurnResult t4 = RunChurnStorm(4);
-  EXPECT_EQ(t1.connects, t2.connects);
-  EXPECT_EQ(t1.connects, t4.connects);
-  EXPECT_EQ(t1.digest, t2.digest) << "threads=2 diverged from serial";
-  EXPECT_EQ(t1.digest, t4.digest) << "threads=4 diverged from serial";
 }
 
 TEST(DrrScheduler, DisconnectReapsWeightedTenant) {
@@ -184,7 +164,7 @@ void ExpectSameHistogram(const LatencyHistogram& a, const LatencyHistogram& b) {
 }
 
 TEST(FleetStats, ChurnTotalsAreConsistent) {
-  Testbed bed(ChurnConfig(1, nullptr));
+  Testbed bed(ChurnConfig(nullptr));
   FleetSpec fs = ChurnSpec();
   fs.sessions = 500;
   fs.rates.mean_iops = 2000.0;

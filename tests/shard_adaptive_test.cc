@@ -2,23 +2,20 @@
 //
 // When exactly one shard holds pending events and no cross-shard send is
 // buffered, the engine runs that shard's uniform sub-epochs back to back
-// on the control thread instead of taking a full synchronization round at
-// every T + W - 1 boundary. The contract this suite pins down:
+// instead of taking a full synchronization round at every T + W - 1
+// boundary. The contract this suite pins down:
 //
-//   * digests are identical to the serial (threads=1) run for sparse and
-//     dense cross-shard traffic, at 1/2/4 threads, on both event-queue
-//     engines, across seeds;
+//   * digests and epoch counts are identical on both event-queue engines,
+//     for sparse and dense cross-shard traffic, across seeds;
 //   * coarsening changes how many *synchronization rounds* run, never the
 //     schedule: forcing a full barrier per uniform epoch
 //     (TestbedConfig::uniform_epochs) reproduces the same digest;
 //   * coarsening actually pays: on sparse traffic the adaptive run
-//     executes strictly fewer synchronization rounds than the uniform run;
-//   * workers are never woken for epochs with nothing to claim: on sparse
-//     traffic (single active shard per epoch → serial dispatch) the
-//     idle-wakeup counter stays exactly 0 even with a full worker pool.
+//     executes strictly fewer synchronization rounds than the uniform run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "obs/obs.h"
 #include "sim/event_queue.h"
@@ -38,15 +35,14 @@ constexpr size_t kTraceLimit = 4u << 20;
 struct ShardRun {
   uint64_t digest = 0;
   uint64_t epochs = 0;
-  uint64_t idle_wakeups = 0;
 };
 
 // Sparse: one queue-depth-1 tenant on one of three SSDs — long stretches
 // where a single shard owns every pending event. Dense: every SSD loaded
 // with a victim + write neighbour, so cross-shard sends buffer in nearly
 // every epoch.
-ShardRun RunSharded(sim::EventQueue::Impl impl, int threads, uint64_t seed,
-                    bool sparse, bool uniform_epochs) {
+ShardRun RunSharded(sim::EventQueue::Impl impl, uint64_t seed, bool sparse,
+                    bool uniform_epochs) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
@@ -55,7 +51,6 @@ ShardRun RunSharded(sim::EventQueue::Impl impl, int threads, uint64_t seed,
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
   cfg.queue_impl = impl;
-  cfg.threads = threads;
   cfg.uniform_epochs = uniform_epochs;
   cfg.obs = &obs;
   cfg.run_label = sparse ? "adaptive_sparse" : "adaptive_dense";
@@ -86,10 +81,7 @@ ShardRun RunSharded(sim::EventQueue::Impl impl, int threads, uint64_t seed,
   ShardRun out;
   out.digest = obs.tracer.Digest();
   EXPECT_NE(bed.engine(), nullptr) << "testbed unexpectedly unsharded";
-  if (bed.engine() != nullptr) {
-    out.epochs = bed.engine()->epochs();
-    out.idle_wakeups = bed.engine()->idle_wakeups();
-  }
+  if (bed.engine() != nullptr) out.epochs = bed.engine()->epochs();
   return out;
 }
 
@@ -100,32 +92,25 @@ struct MatrixParam {
 
 class AdaptiveEpochMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
-TEST_P(AdaptiveEpochMatrix, ShardedDigestMatchesSerialAtEveryThreadCount) {
+TEST_P(AdaptiveEpochMatrix, ShardedHeapScheduleEqualsWheelSchedule) {
   const MatrixParam p = GetParam();
-  const ShardRun serial = RunSharded(sim::EventQueue::Impl::kTimingWheel, 1,
-                                     p.seed, p.sparse, false);
-  for (int threads : {2, 4}) {
-    const ShardRun run = RunSharded(sim::EventQueue::Impl::kTimingWheel,
-                                    threads, p.seed, p.sparse, false);
-    EXPECT_EQ(serial.digest, run.digest)
-        << "threads=" << threads << " diverged from serial, seed " << p.seed
-        << (p.sparse ? " (sparse)" : " (dense)");
-    // The epoch chop is a pure function of queue states, so even the
-    // barrier count is thread-count invariant.
-    EXPECT_EQ(serial.epochs, run.epochs)
-        << "epoch count changed with threads=" << threads;
-  }
-  const ShardRun heap = RunSharded(sim::EventQueue::Impl::kReferenceHeap, 4,
+  const ShardRun wheel = RunSharded(sim::EventQueue::Impl::kTimingWheel,
+                                    p.seed, p.sparse, false);
+  const ShardRun heap = RunSharded(sim::EventQueue::Impl::kReferenceHeap,
                                    p.seed, p.sparse, false);
-  EXPECT_EQ(serial.digest, heap.digest)
-      << "reference heap at threads=4 diverged, seed " << p.seed;
+  EXPECT_EQ(wheel.digest, heap.digest)
+      << "reference heap diverged from the timing wheel, seed " << p.seed
+      << (p.sparse ? " (sparse)" : " (dense)");
+  // The epoch chop is a pure function of queue states, so even the
+  // barrier count is engine invariant.
+  EXPECT_EQ(wheel.epochs, heap.epochs) << "epoch count changed with engine";
 }
 
 TEST_P(AdaptiveEpochMatrix, ShardedAdaptiveScheduleEqualsUniformSchedule) {
   const MatrixParam p = GetParam();
-  const ShardRun adaptive = RunSharded(sim::EventQueue::Impl::kTimingWheel, 2,
+  const ShardRun adaptive = RunSharded(sim::EventQueue::Impl::kTimingWheel,
                                        p.seed, p.sparse, false);
-  const ShardRun uniform = RunSharded(sim::EventQueue::Impl::kTimingWheel, 2,
+  const ShardRun uniform = RunSharded(sim::EventQueue::Impl::kTimingWheel,
                                       p.seed, p.sparse, true);
   EXPECT_EQ(adaptive.digest, uniform.digest)
       << "coarsening changed the schedule, seed " << p.seed
@@ -136,24 +121,19 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, AdaptiveEpochMatrix,
     ::testing::Values(MatrixParam{1u, true}, MatrixParam{7u, true},
                       MatrixParam{42u, true}, MatrixParam{1u, false},
-                      MatrixParam{7u, false}, MatrixParam{42u, false}));
+                      MatrixParam{7u, false}, MatrixParam{42u, false}),
+    [](const ::testing::TestParamInfo<MatrixParam>& info) {
+      return "seed" + std::to_string(info.param.seed) +
+             (info.param.sparse ? "_sparse" : "_dense");
+    });
 
 TEST(AdaptiveEpochMatrix, ShardedCoarseningReducesBarriersOnSparseTraffic) {
   const ShardRun adaptive =
-      RunSharded(sim::EventQueue::Impl::kTimingWheel, 1, 1u, true, false);
+      RunSharded(sim::EventQueue::Impl::kTimingWheel, 1u, true, false);
   const ShardRun uniform =
-      RunSharded(sim::EventQueue::Impl::kTimingWheel, 1, 1u, true, true);
+      RunSharded(sim::EventQueue::Impl::kTimingWheel, 1u, true, true);
   EXPECT_LT(adaptive.epochs, uniform.epochs)
       << "coarsening did not reduce the synchronization-round count";
-}
-
-TEST(AdaptiveEpochMatrix, ShardedSparseTrafficNeverWakesIdleWorkers) {
-  // Full worker pool, but every sparse epoch has a single active shard and
-  // a handful of live events — the serial dispatch path must handle all of
-  // them without ringing a doorbell.
-  const ShardRun run =
-      RunSharded(sim::EventQueue::Impl::kTimingWheel, 4, 1u, true, false);
-  EXPECT_EQ(run.idle_wakeups, 0u);
 }
 
 }  // namespace
