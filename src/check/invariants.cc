@@ -239,7 +239,7 @@ void InvariantChecker::OnPolicyFail(TenantId tenant, int ssd) {
 
 void InvariantChecker::ConfigureDrr(int ssd, uint64_t quantum_bytes,
                                     uint64_t slot_bytes, double cost_worst) {
-  DrrState& d = drr_[ssd];
+  DrrState& d = Drr(ssd);
   d.quantum = quantum_bytes;
   d.max_weighted =
       static_cast<uint64_t>(static_cast<double>(slot_bytes) * cost_worst);
@@ -258,7 +258,7 @@ void InvariantChecker::OnDrrQuantum(TenantId tenant, int ssd,
                                     uint64_t rounds, double frac_before,
                                     double frac_after) {
   ++checks_run_;
-  DrrState& d = drr_[ssd];
+  DrrState& d = Drr(ssd);
   // §3.5 Algorithm 2 with fractional carry: `rounds` rounds grant
   // floor(rounds x weight x quantum + carry) whole bytes and the remainder
   // stays in the carry. Same double arithmetic as the scheduler
@@ -306,7 +306,7 @@ void InvariantChecker::OnDrrPassExhausted(int ssd, uint64_t passes,
 
 void InvariantChecker::OnDrrBacklog(TenantId tenant, int ssd,
                                     bool backlogged) {
-  DrrState& d = drr_[ssd];
+  DrrState& d = Drr(ssd);
   const uint32_t pos = d.index.Find(tenant);
   const bool member = pos != common::IdIndexMap::kNotFound;
   if (backlogged == member) return;  // idempotent: no membership change
@@ -356,7 +356,7 @@ void InvariantChecker::CheckDrrSkew(const DrrState& d, int ssd) {
 void InvariantChecker::OnDrrServe(TenantId tenant, int ssd,
                                   uint64_t weighted_bytes, double weight) {
   ++checks_run_;
-  DrrState& d = drr_[ssd];
+  DrrState& d = Drr(ssd);
   if (weight <= 0.0) weight = 1.0;
   const uint32_t pos = d.index.Find(tenant);
   // A serve for a tenant outside the backlogged set has no comparison

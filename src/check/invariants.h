@@ -40,6 +40,8 @@
 // quiesced (workers stopped, initiators shut down, event queue drained).
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -322,6 +324,14 @@ class InvariantChecker {
   }
   void Violate(const char* invariant, TenantId tenant, int ssd,
                std::string detail);
+  // Ssd indices are small and dense (pipeline ids), so the DRR hooks index
+  // a vector instead of hashing the id on every serve.
+  DrrState& Drr(int ssd) {
+    assert(ssd >= 0);
+    const size_t i = static_cast<size_t>(ssd);
+    if (i >= drr_.size()) drr_.resize(i + 1);
+    return drr_[i];
+  }
   void CheckDrrSkew(const DrrState& d, int ssd);
 
   bool fail_fast_;
@@ -333,7 +343,7 @@ class InvariantChecker {
   common::IdIndexMap client_index_;
   common::SlabArena<PolicyLedger> policies_;
   common::IdIndexMap policy_index_;
-  std::unordered_map<int, DrrState> drr_;
+  std::vector<DrrState> drr_;  // by ssd index, grown by Drr()
   std::unordered_map<uint64_t, KvLedger> kv_;  // Key(instance, backend)
   // Txn ids are globally unique per coordinator attempt; instances are low
   // cardinality. Keyed (instance, txn) and instance respectively.

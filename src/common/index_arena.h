@@ -9,7 +9,7 @@
 //   SlabArena<T>   — slot storage with stable addresses (deque-backed) and a
 //                    free-list. Freed slots are *recycled*, not destroyed:
 //                    Allocate() on a recycled slot calls T::Reset(args...)
-//                    so a TenantState's deque/vector capacity survives churn
+//                    so a TenantState's ring/vector capacity survives churn
 //                    instead of being reallocated per connect. A dense
 //                    live-index list (swap-remove) makes iteration O(live)
 //                    and gives tests an exact "no orphaned slots" probe.

@@ -8,10 +8,11 @@
 // deceptive-idleness problem (an allotted slot cannot be stolen).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/ring.h"
 #include "core/params.h"
 #include "nvme/types.h"
 
@@ -66,6 +67,13 @@ class TenantState {
   }
   bool HasQueued() const { return queued_ > 0; }
   uint32_t queued() const { return queued_; }
+  // Ring slots held across the priority queues; 0 for a tenant that never
+  // queued, also after an arena recycle.
+  size_t queue_capacity() const {
+    size_t cap = 0;
+    for (const auto& q : queues_) cap += q.capacity();
+    return cap;
+  }
 
   // Peek/pop the next request by weighted round-robin over the priority
   // queues (weights 4/2/1 for high/normal/low).
@@ -155,7 +163,7 @@ class TenantState {
 
  private:
   TenantId id_;
-  std::deque<IoRequest> queues_[kNumPriorities];
+  common::Ring<IoRequest> queues_[kNumPriorities];  // no heap until used
   uint32_t queued_ = 0;
   int rr_cursor_ = 0;      // priority queue being served
   int rr_budget_ = 0;      // remaining weight for the cursor queue

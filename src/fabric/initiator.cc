@@ -148,8 +148,7 @@ void Initiator::Shutdown() {
   // Issued IOs keep their timeout timers: each either completes normally
   // or is aborted when its timer fires (no retransmission follows a
   // disconnect). Fail everything still queued locally.
-  std::deque<Pending> pending = std::move(pending_);
-  pending_.clear();
+  common::Ring<Pending> pending = std::exchange(pending_, {});
   for (auto& p : pending) {
     FailLocally(std::move(p), IoStatus::kAborted, /*was_issued=*/false);
   }
@@ -176,8 +175,7 @@ void Initiator::Crash() {
   // locally, no disconnect capsule crosses the fabric, the keepalive loop
   // stops. The target learns of the death from its session timeout;
   // completions still in flight arrive for unknown ids and count as late.
-  std::deque<Pending> pending = std::move(pending_);
-  pending_.clear();
+  common::Ring<Pending> pending = std::exchange(pending_, {});
   for (auto& p : pending) {
     FailLocally(std::move(p), IoStatus::kAborted, /*was_issued=*/false);
   }

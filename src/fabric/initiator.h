@@ -10,13 +10,14 @@
 // RocksDB case study gets for free (§4.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
 #include "baselines/parda_policy.h"
 #include "check/invariants.h"
+#include "common/ring.h"
 #include "fabric/network.h"
 #include "fabric/target.h"
 #include "nvme/types.h"
@@ -102,6 +103,8 @@ class Initiator : public CompletionSink {
 
   uint32_t inflight() const { return inflight_; }
   uint32_t queued() const { return static_cast<uint32_t>(pending_.size()); }
+  // Slots in the local queue's ring: 0 until the first Submit.
+  size_t queue_capacity() const { return pending_.capacity(); }
   // Control capsules (connect/keepalive/disconnect/trim) sent but not yet
   // delivered. Their network callbacks capture `this`, so an initiator
   // must not be destroyed while any is pending — the open-loop fleet's
@@ -159,7 +162,7 @@ class Initiator : public CompletionSink {
   baselines::PardaWindow parda_;
   RetryParams retry_;
 
-  std::deque<Pending> pending_;
+  common::Ring<Pending> pending_;
   std::unordered_map<uint64_t, Pending> issued_;
   // The armed heartbeat; cancelled by Shutdown()/Crash() so a dead client
   // stops ticking immediately instead of leaving a timer to fire inert.

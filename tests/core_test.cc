@@ -4,6 +4,10 @@
 // (Algorithm 2).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/index_arena.h"
 #include "core/drr_scheduler.h"
 #include "core/latency_monitor.h"
 #include "core/params.h"
@@ -417,6 +421,67 @@ TEST(TenantState, DropEmptyOpenSlot) {
   t.ChargeSlot(4096, 128 * 1024);
   t.DropEmptyOpenSlot();
   EXPECT_EQ(t.SlotsInUse(), 1u);
+}
+
+// Queue buffers cost nothing until used: at fleet scale almost every
+// tenant is idle, so a TenantState that never queued must own no ring.
+TEST(TenantState, IdleTenantOwnsNoQueueBuffer) {
+  common::SlabArena<TenantState> arena;
+  const uint32_t slot = arena.Allocate(TenantId{1});
+  EXPECT_EQ(arena[slot].queue_capacity(), 0u);
+  arena.Free(slot);
+  ASSERT_EQ(arena.Allocate(TenantId{2}), slot);  // recycled via Reset()
+  EXPECT_EQ(arena[slot].id(), 2u);
+  EXPECT_EQ(arena[slot].queue_capacity(), 0u);
+}
+
+// Pops every queued request, recording (priority, id).
+std::vector<std::pair<IoPriority, uint64_t>> PopAll(TenantState& t) {
+  std::vector<std::pair<IoPriority, uint64_t>> out;
+  while (t.HasQueued()) {
+    const IoRequest r = t.Pop();
+    out.emplace_back(r.priority, r.id);
+  }
+  return out;
+}
+
+// A recycled arena slot keeps its ring buffers (so churn does not
+// reallocate them), but Reset() must leave nothing behind that changes the
+// weighted round-robin: the same enqueue sequence is served in the same
+// order as on a freshly constructed tenant.
+TEST(TenantState, RecycledTenantServesLikeFreshOne) {
+  const IoPriority kPrios[] = {IoPriority::kHigh, IoPriority::kNormal,
+                               IoPriority::kLow};
+  auto enqueue_pattern = [&](TenantState& t) {
+    for (uint64_t i = 0; i < 30; ++i) {
+      IoRequest r = MakeReq(t.id(), IoType::kRead, 4096, kPrios[(i * i + i / 4) % 3]);
+      r.id = i;
+      t.Enqueue(r);
+    }
+  };
+  TenantState fresh(5);
+  enqueue_pattern(fresh);
+  const auto want = PopAll(fresh);
+
+  common::SlabArena<TenantState> arena;
+  const uint32_t slot = arena.Allocate(TenantId{9});
+  // Leave the churned tenant mid-round with wrapped, partly drained rings.
+  for (int i = 0; i < 40; ++i) {
+    arena[slot].Enqueue(MakeReq(9, IoType::kWrite, 8192, kPrios[i % 3]));
+  }
+  for (int i = 0; i < 13; ++i) arena[slot].Pop();
+  for (int i = 0; i < 5; ++i) {
+    arena[slot].Enqueue(MakeReq(9, IoType::kRead, 4096, kPrios[i % 3]));
+  }
+  const size_t held = arena[slot].queue_capacity();
+  ASSERT_GT(held, 0u);
+  arena.Free(slot);
+  ASSERT_EQ(arena.Allocate(TenantId{5}), slot);
+  TenantState& recycled = arena[slot];
+  EXPECT_FALSE(recycled.HasQueued());
+  EXPECT_EQ(recycled.queue_capacity(), held);  // buffers survive churn
+  enqueue_pattern(recycled);
+  EXPECT_EQ(PopAll(recycled), want);
 }
 
 // ---------------------------------------------------------------------------

@@ -137,6 +137,27 @@ TEST(FabricRoundTrip, ManyOutstandingAllComplete) {
   EXPECT_EQ(init.inflight(), 0u);
 }
 
+// The local queue owns no buffer until the first Submit: an open-loop
+// fleet keeps tens of thousands of mostly idle sessions connected.
+TEST(FabricRoundTrip, IdleInitiatorOwnsNoQueueBuffer) {
+  FabricRig rig;
+  fabric::Initiator init(rig.sim, rig.net, rig.target, 0, 1,
+                         fabric::ThrottleMode::kCredit, {}, {},
+                         fabric::ConnectMode::kCapsule);
+  rig.sim.Run();  // connect capsule delivered
+  EXPECT_EQ(init.queue_capacity(), 0u);
+  int done = 0;
+  init.Submit(IoType::kRead, 0, 4096, IoPriority::kNormal,
+              [&](const IoCompletion&, Tick) { ++done; });
+  rig.sim.Run();
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(init.queued(), 0u);
+  EXPECT_EQ(init.queue_capacity(), 1u);  // kept for the next IO
+  init.Shutdown();  // takes the queue over, buffer and all
+  EXPECT_EQ(init.queue_capacity(), 0u);
+  rig.sim.Run();
+}
+
 TEST(FabricRoundTrip, AddedCostSlowsPipeline) {
   fabric::TargetConfig slow;
   slow.added_cost = Microseconds(50);

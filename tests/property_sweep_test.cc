@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -12,6 +13,14 @@
 #include "obs/schema.h"
 #include "ssd/ssd.h"
 #include "workload/runner.h"
+
+// Every parameter type below has a gtest printer (PrintTo, found by ADL) or
+// a name generator, so test names never fall back to a byte dump of the
+// parameter: struct padding would make such names differ from build to
+// build (the tests.stable_names ctest guards this).
+namespace gimbal::workload {
+static void PrintTo(Scheme s, std::ostream* os) { *os << ToString(s); }
+}  // namespace gimbal::workload
 
 namespace gimbal {
 namespace {
@@ -26,6 +35,14 @@ struct Geometry {
   uint32_t pages_per_block;
   uint64_t logical_mb;
 };
+
+std::string Name(const Geometry& g) {
+  return "ch" + std::to_string(g.channels) + "_dies" +
+         std::to_string(g.dies_per_channel) + "_ppb" +
+         std::to_string(g.pages_per_block) + "_mb" +
+         std::to_string(g.logical_mb);
+}
+void PrintTo(const Geometry& g, std::ostream* os) { *os << Name(g); }
 
 class GeometrySweep : public ::testing::TestWithParam<Geometry> {};
 
@@ -80,7 +97,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{4, 4, 128, 128},   // mid
                       Geometry{8, 4, 128, 256},   // default-like
                       Geometry{8, 8, 64, 256},    // many dies, small blocks
-                      Geometry{1, 4, 128, 64}));  // single channel
+                      Geometry{1, 4, 128, 64}),   // single channel
+    [](const ::testing::TestParamInfo<Geometry>& info) {
+      return Name(info.param);
+    });
 
 // --------------------------------------------------------------------------
 // Gimbal parameter sweep: the switch must stay live and fair-ish for any
@@ -93,6 +113,14 @@ struct Params {
   double beta;
   uint32_t slots_threshold;
 };
+
+std::string Name(const Params& p) {
+  return "tmin" + std::to_string(p.thresh_min / Microseconds(1)) + "us_tmax" +
+         std::to_string(p.thresh_max / Microseconds(1)) + "us_beta" +
+         std::to_string(static_cast<int>(p.beta)) + "_slots" +
+         std::to_string(p.slots_threshold);
+}
+void PrintTo(const Params& p, std::ostream* os) { *os << Name(p); }
 
 class GimbalParamSweep : public ::testing::TestWithParam<Params> {};
 
@@ -141,7 +169,10 @@ INSTANTIATE_TEST_SUITE_P(
         Params{Microseconds(250), Microseconds(1500), 1, 8},   // slow probe
         Params{Microseconds(250), Microseconds(1500), 16, 8},  // fast probe
         Params{Microseconds(250), Microseconds(1500), 8, 2},   // few slots
-        Params{Microseconds(250), Microseconds(1500), 8, 64}));  // many slots
+        Params{Microseconds(250), Microseconds(1500), 8, 64}),  // many slots
+    [](const ::testing::TestParamInfo<Params>& info) {
+      return Name(info.param);
+    });
 
 // --------------------------------------------------------------------------
 // Cross-scheme liveness: every policy must complete a hostile little mix
@@ -210,6 +241,14 @@ std::string ViolationReport(const check::InvariantChecker& chk) {
 }
 
 enum class WorkMix { kSmallReads, kWritePressure, kRaggedMix };
+
+void PrintTo(WorkMix m, std::ostream* os) {
+  switch (m) {
+    case WorkMix::kSmallReads: *os << "small_reads"; return;
+    case WorkMix::kWritePressure: *os << "write_pressure"; return;
+    case WorkMix::kRaggedMix: *os << "ragged_mix"; return;
+  }
+}
 
 class PolicyMatrix
     : public ::testing::TestWithParam<
@@ -305,6 +344,16 @@ INSTANTIATE_TEST_SUITE_P(
 // --------------------------------------------------------------------------
 
 enum class FaultMix { kMedia, kStall, kFailure, kLinkFlap, kEverything };
+
+void PrintTo(FaultMix m, std::ostream* os) {
+  switch (m) {
+    case FaultMix::kMedia: *os << "media"; return;
+    case FaultMix::kStall: *os << "stall"; return;
+    case FaultMix::kFailure: *os << "failure"; return;
+    case FaultMix::kLinkFlap: *os << "link_flap"; return;
+    case FaultMix::kEverything: *os << "everything"; return;
+  }
+}
 
 class FaultSweep
     : public ::testing::TestWithParam<std::tuple<FaultMix, uint64_t>> {};

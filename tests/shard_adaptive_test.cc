@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "obs/obs.h"
@@ -90,6 +91,13 @@ struct MatrixParam {
   bool sparse;
 };
 
+std::string Name(const MatrixParam& p) {
+  return "seed" + std::to_string(p.seed) + (p.sparse ? "_sparse" : "_dense");
+}
+// The name generator alone is not enough: gtest also prints the parameter
+// next to the name, and a struct with padding would print as a byte dump.
+void PrintTo(const MatrixParam& p, std::ostream* os) { *os << Name(p); }
+
 class AdaptiveEpochMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
 TEST_P(AdaptiveEpochMatrix, ShardedHeapScheduleEqualsWheelSchedule) {
@@ -123,8 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixParam{42u, true}, MatrixParam{1u, false},
                       MatrixParam{7u, false}, MatrixParam{42u, false}),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
-      return "seed" + std::to_string(info.param.seed) +
-             (info.param.sparse ? "_sparse" : "_dense");
+      return Name(info.param);
     });
 
 TEST(AdaptiveEpochMatrix, ShardedCoarseningReducesBarriersOnSparseTraffic) {

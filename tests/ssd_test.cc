@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -330,6 +331,11 @@ struct IoShape {
   bool sequential;
   IoType type;
 };
+
+void PrintTo(const IoShape& s, std::ostream* os) {
+  *os << s.bytes << (s.sequential ? "_seq_" : "_rand_")
+      << (s.type == IoType::kRead ? "read" : "write");
+}
 
 class SsdShapeSweep : public ::testing::TestWithParam<IoShape> {};
 
