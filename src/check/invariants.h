@@ -51,7 +51,6 @@
 #include "common/time.h"
 #include "nvme/types.h"
 #include "obs/trace.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 
 namespace gimbal::check {
@@ -314,14 +313,7 @@ class InvariantChecker {
     return policies_[slot];
   }
 
-  // The clock of the shard executing the current hook; falls back to the
-  // attached (client) simulator outside shard execution.
-  Tick now() const {
-    if (const sim::Simulator* s = sim::ShardedEngine::CurrentSim()) {
-      return s->now();
-    }
-    return sim_ ? sim_->now() : 0;
-  }
+  Tick now() const { return sim_ ? sim_->now() : 0; }
   void Violate(const char* invariant, TenantId tenant, int ssd,
                std::string detail);
   // Ssd indices are small and dense (pipeline ids), so the DRR hooks index

@@ -52,11 +52,10 @@ inline Tick BackoffFor(const RetryParams& p, int n) {
 }
 
 // How the initiator registers its completion sink with the target.
-// kDirect pokes the session table immediately — fine at setup time, racy
-// for mid-run churn under the sharded engine. kCapsule sends a connect
-// capsule over the fabric so registration happens on the pipeline's shard
-// in FIFO order with the commands that follow (the open-loop fleet's
-// session churn uses this).
+// kDirect pokes the session table immediately — fine at setup time. kCapsule
+// sends a connect capsule over the fabric, so registration reaches the
+// target one fabric trip later, in FIFO order with the commands that
+// follow (the open-loop fleet's session churn uses this).
 enum class ConnectMode { kDirect, kCapsule };
 
 class Initiator : public CompletionSink {

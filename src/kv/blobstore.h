@@ -17,10 +17,8 @@
 //
 // Backend health is tracked client-side, from the completion statuses this
 // instance observes (kDeviceFailed marks a backend down, kOk marks it back
-// up). Under the sharded engine the injector's health machines live on the
-// SSD shards, so the client deliberately never reads them directly — the
-// observed view is driven purely by events that already cross the shard
-// boundary, so no shard reads another shard's state mid-epoch.
+// up). The client deliberately never reads the injector's health machines:
+// like a real client, it knows only what its own IOs have told it.
 //
 // Fault-free runs are event-for-event identical to the pre-fault-tolerance
 // blobstore: no timers are armed and no submit order changes unless a

@@ -199,12 +199,6 @@ inline constexpr MetricDef kRackNodeDrops{
     "fabric messages dropped because their node was down (whole-node "
     "failure blackout; distinct from link-flap drops)",
     "workload/runner.cc:FlushObservability"};
-inline constexpr MetricDef kShardEpochs{
-    "shard.epochs", "epochs",
-    "full synchronization rounds the sharded engine has run (epoch "
-    "coarsening makes this shrink on sparse cross-shard traffic without "
-    "changing the schedule)",
-    "workload/runner.cc:PublishEngineMetrics"};
 inline constexpr MetricDef kTxnCommits{
     "txn.commits", "txns",
     "transactions committed (every write durably acked through the WAL "

@@ -1,4 +1,4 @@
-// A serially-shared resource (a CPU core, a NAND channel, a link).
+// A serially-shared resource (a CPU core, a NAND channel).
 //
 // Work items occupy the resource for a duration; queued items run FIFO.
 // This is the building block for the target's reactor cores (Fig 3 / 16 /
@@ -26,16 +26,7 @@ class FifoResource {
   // Occupy the resource for `duration`, then invoke `done` (may be null).
   // If busy, the request queues behind earlier ones.
   void Acquire(Tick duration, EventFn done) {
-    AcquireDeferred(duration, 0, std::move(done));
-  }
-
-  // Occupy the resource for `duration`; `done` then fires `extra` ticks
-  // later without occupying it (a link's propagation delay after
-  // serialization, staging latency after a core step). Equivalent to
-  // wrapping `done` in an After() from the completion callback, minus the
-  // extra closure layer.
-  void AcquireDeferred(Tick duration, Tick extra, EventFn done) {
-    queue_.push_back(Item{duration, extra, std::move(done)});
+    queue_.push_back(Item{duration, std::move(done)});
     busy_accum_ += duration;
     if (!busy_) StartNext();
   }
@@ -49,7 +40,6 @@ class FifoResource {
  private:
   struct Item {
     Tick duration;
-    Tick extra;
     EventFn done;
   };
 
@@ -63,13 +53,9 @@ class FifoResource {
     queue_.pop_front();
     sim_.After(running_.duration, [this]() {
       Item item = std::move(running_);
-      // Keep the historical event order: the occupant's continuation is
-      // scheduled/run before the next occupant starts.
-      if (item.extra > 0) {
-        sim_.After(item.extra, std::move(item.done));
-      } else if (item.done) {
-        item.done();
-      }
+      // Keep the historical event order: the occupant's continuation runs
+      // before the next occupant starts.
+      if (item.done) item.done();
       StartNext();
     });
   }

@@ -20,19 +20,6 @@ namespace gimbal::sim {
 
 class Simulator {
  public:
-  // Drives a group of simulators as one logical clock. When a Simulator
-  // has an engine attached (sim/shard.h attaches the sharded engine to
-  // shard 0), its Run()/RunUntil() delegate to the engine so existing
-  // driving code — `bed.sim().RunUntil(t)` — advances the whole sharded
-  // testbed. The engine itself advances individual shards with
-  // StepUntil(), which never delegates.
-  class Engine {
-   public:
-    virtual ~Engine() = default;
-    virtual void EngineRunUntil(Tick deadline) = 0;
-    virtual void EngineRunToIdle() = 0;
-  };
-
   // kReferenceHeap swaps in the binary-heap ordering oracle; identical
   // observable behaviour, used by the determinism A/B tests and bench_sim.
   explicit Simulator(EventQueue::Impl impl = EventQueue::Impl::kTimingWheel)
@@ -51,33 +38,16 @@ class Simulator {
     return At(now_ + delay, std::move(fn));
   }
 
-  // Run until the event queue is empty (the whole engine's queues, when
-  // this simulator fronts a sharded engine).
+  // Run until the event queue is empty.
   void Run() {
-    if (engine_) {
-      engine_->EngineRunToIdle();
-      return;
-    }
     while (!queue_.empty()) Step();
   }
 
   // Run events with time <= deadline; leaves now() == deadline.
   void RunUntil(Tick deadline) {
-    if (engine_) {
-      engine_->EngineRunUntil(deadline);
-      return;
-    }
-    StepUntil(deadline);
-  }
-
-  // Engine-internal form of RunUntil: never delegates, so the engine can
-  // advance this shard without recursing into itself.
-  void StepUntil(Tick deadline) {
     while (!queue_.empty() && queue_.next_time() <= deadline) Step();
     if (now_ < deadline) now_ = deadline;
   }
-
-  void set_engine(Engine* engine) { engine_ = engine; }
 
   // Run at most `max_events` events; returns number executed.
   uint64_t RunEvents(uint64_t max_events) {
@@ -108,7 +78,6 @@ class Simulator {
   EventQueue queue_;
   Tick now_ = 0;
   uint64_t events_executed_ = 0;
-  Engine* engine_ = nullptr;
 };
 
 }  // namespace gimbal::sim

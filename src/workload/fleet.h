@@ -3,7 +3,8 @@
 // Drives a large population of short-lived open-loop sessions — up to and
 // beyond 100k concurrently — through a Testbed. Each live session is one
 // seat: a fresh tenant id, a caller-owned Initiator (capsule connect, so
-// mid-run bring-up is shard-safe), and an OpenLoopWorker whose offered
+// mid-run bring-up is ordered with its commands), and an OpenLoopWorker
+// whose offered
 // rate comes from a heavy-tailed RatePlan (a handful of seats carry most
 // of the load) modulated by a shared ArrivalSpec (burst storms, diurnal
 // swing).
@@ -24,8 +25,8 @@
 // (~2.6 KiB of memory in all, down the stack) and TotalStats() is a copy.
 //
 // All fleet activity — stagger timers, lifetime timers, RNG draws, the
-// sweep — executes on the testbed's client-domain simulator (shard 0), so
-// a sharded engine replays the exact same schedule on every run.
+// sweep — executes on the testbed's simulator, so every run replays the
+// exact same schedule.
 #pragma once
 
 #include <cstdint>

@@ -4,17 +4,12 @@
 // mirroring the §5.1 methodology so each bench stays a thin declaration of
 // its workload matrix.
 //
-// Sharded execution (docs/SIMULATOR.md): a testbed with more than one SSD
-// and a positive fabric base latency is built on a ShardedEngine — shard 0
-// hosts the client domain (initiators, workers, crash timers), and each
-// used target core hosts its pipelines, SSD models and fault state on its
-// own shard. Cross-shard traffic flows only through the Network, which
-// buffers sends per shard and replays them in one canonical order at every
-// epoch barrier. Shards step one after another in index order within
-// conservative-lookahead epochs, so the schedule, and with it every trace
-// digest and golden figure, is a pure function of the configuration and
-// seed. Single-SSD (or zero-latency) testbeds keep the exact pre-sharding
-// single-simulator path.
+// Every testbed runs on one Simulator: the client domain (initiators,
+// workers, crash timers), every target pipeline, SSD model and fault timer
+// share its event queue, and cross-domain traffic flows through the
+// Network, which serializes each message on its links at send time
+// (docs/SIMULATOR.md). The schedule, and with it every trace digest and
+// golden figure, is a pure function of the configuration and seed.
 #pragma once
 
 #include <memory>
@@ -35,7 +30,7 @@
 #include "fault/fault.h"
 #include "fault/faulty_device.h"
 #include "obs/obs.h"
-#include "sim/shard.h"
+#include "sim/shard.h"  // only for engine(); see that file
 #include "sim/simulator.h"
 #include "ssd/null_device.h"
 #include "ssd/ssd.h"
@@ -62,8 +57,7 @@ struct TestbedConfig {
   // i / (num_ssds / nodes), each node gets its own Target (cfg.target.cores
   // are per node), fabric messages serialize on the shared uplink and the
   // node's access link, and replica placement / whole-node faults become
-  // node-aware. Shard topology generalizes to (node, core): one shard per
-  // used core per node, on the same epoch schedule as single-node runs.
+  // node-aware.
   int nodes = 1;
   // Shared ToR uplink bandwidth (bytes/sec); 0 = same as net.bandwidth_bps.
   double uplink_bps = 0;
@@ -90,13 +84,7 @@ struct TestbedConfig {
   uint64_t fault_seed = 1;
   fabric::RetryParams retry = {};
 
-  // Force a full synchronization barrier per uniform T + W - 1 epoch
-  // instead of coarsening single-shard stretches (docs/SIMULATOR.md).
-  // Results are identical either way — the determinism suite runs both and
-  // compares digests; this knob exists for those tests and for perf A/Bs.
-  bool uniform_epochs = false;
-
-  // Event-queue engine under the simulator(s). The timing wheel is the
+  // Event-queue engine under the simulator. The timing wheel is the
   // production default; the reference heap is kept as an ordering oracle so
   // determinism tests can replay the same testbed on both engines and
   // compare trace digests bit-for-bit (docs/SIMULATOR.md).
@@ -106,10 +94,7 @@ struct TestbedConfig {
   // testbed attaches them to the target, every policy and every SSD, and
   // labels everything it emits with `run_label` (defaults to the scheme
   // name). Run(warmup, ...) resets this run's counters at the end of
-  // warmup so metric totals cover exactly the measurement window. Under
-  // sharding each shard records into a private Observability; tracers are
-  // merged into this one in canonical (ts, shard) order at every epoch
-  // barrier, metrics at the end of every Run() and at teardown.
+  // warmup so metric totals cover exactly the measurement window.
   obs::Observability* obs = nullptr;
   std::string run_label;
 
@@ -125,12 +110,10 @@ class Testbed {
   explicit Testbed(TestbedConfig cfg);
   ~Testbed();
 
-  // The client-domain simulator (shard 0 under sharding). Run()/RunUntil()
-  // on it drive the whole engine, so call sites never care which mode the
-  // testbed was built in.
-  sim::Simulator& sim() { return *sim_; }
-  // The engine behind a sharded testbed; null in single-simulator mode.
-  sim::ShardedEngine* engine() { return engine_.get(); }
+  // The one simulator every component of this testbed runs on.
+  sim::Simulator& sim() { return sim_; }
+  // Always null: kept for perfbench/probes.cc only (sim/shard.h).
+  sim::ShardedEngine* engine() { return nullptr; }
   fabric::Network& net() { return *net_; }
   // Node 0's target (the whole testbed on a single-node bed).
   fabric::Target& target() { return *targets_[0]; }
@@ -152,24 +135,13 @@ class Testbed {
   // The invariant checker attached to this testbed (config-supplied or the
   // testbed's own fail-fast instance).
   check::InvariantChecker& checker() { return *check_; }
-  // Observability for client-domain components (shard 0 under sharding,
-  // the session instance otherwise); null when the run is unobserved.
-  obs::Observability* client_obs() {
-    return shard_obs_.empty() ? cfg_.obs : shard_obs_[0].get();
-  }
   const TestbedConfig& config() const { return cfg_; }
 
-  // Publish shard-local tracer events and metric totals into the session
-  // Observability (cfg.obs). Run() does this at the end of every window;
-  // call sites that drive sim().RunUntil() directly (the KV cluster, fault
-  // benches) call it before reading session-registry series mid-run.
-  // No-op in single-simulator mode, where components already record into
-  // cfg.obs.
-  void FlushObservability() {
-    PublishRackMetrics();
-    MergeShardTracers();
-    FlushShardMetrics();
-  }
+  // Publish the rack.* gauges from the Network's totals into cfg.obs
+  // (rack mode + observed only; gauges, so repeated publishes are
+  // idempotent). Call before reading them mid-run; teardown publishes
+  // once more. Every other series is recorded into cfg.obs directly.
+  void FlushObservability();
 
   // Create a new tenant attached to SSD `ssd_index`; throttle mode follows
   // the scheme (credits for Gimbal, latency window for Parda) unless
@@ -187,8 +159,8 @@ class Testbed {
   // Construct a fully-attached initiator owned by the *caller*. The
   // open-loop fleet churns thousands of short-lived sessions and destroys
   // each after drain; parking them in the testbed's own vector would grow
-  // it without bound. kCapsule connect makes mid-run bring-up shard-safe
-  // (registration rides the fabric in FIFO order ahead of the commands).
+  // it without bound. kCapsule connect orders mid-run bring-up with the
+  // session's commands (registration rides the fabric ahead of them).
   std::unique_ptr<fabric::Initiator> MakeInitiator(
       int ssd_index, TenantId tenant, fabric::ConnectMode connect,
       std::optional<fabric::ThrottleMode> throttle = std::nullopt);
@@ -209,55 +181,15 @@ class Testbed {
   Tick measured() const { return measured_; }
 
  private:
-  std::unique_ptr<core::IoPolicy> MakePolicy(sim::Simulator& psim,
-                                             ssd::BlockDevice& dev);
-  // The shard pipeline/SSD i executes on: (node, core) topology — shard
-  // 1 + node * used_cores_ + (local index % used_cores_), which reduces to
-  // the historical 1 + (i % used_cores_) on a single node.
-  int ShardOf(int i) const;
-  // The simulator pipeline/SSD i executes on (sim_ in plain mode).
-  sim::Simulator& SsdSim(int i);
-  // The observability pipeline/SSD i records into (cfg.obs in plain mode).
-  obs::Observability* SsdObs(int i);
-  // Barrier work: replay buffered fabric sends (and, once, bring shard
-  // tracers up after a late session Enable). Trace stitching and metric
-  // merging are deliberately NOT here — they run per Run, not per epoch.
-  void OnEpochBarrier();
-  void PropagateTracerEnable();
-  // Append one row of trace buffer sizes (session tracer first, then each
-  // shard) delimiting this barrier's batch (skipped when no shard recorded
-  // anything since the previous row).
-  void RecordTraceMarks();
-  void MergeShardTracers();
-  // Overwrite the shard.* engine gauges (epochs, idle wakeups).
-  void PublishEngineMetrics();
-  // Fold shard metric registries into the session registry (delta since
-  // the previous flush; gauges overwrite idempotently).
-  void FlushShardMetrics();
-  // Overwrite the rack.* gauges from the Network's totals (rack mode +
-  // observed only; gauges, so repeated publishes are idempotent).
-  void PublishRackMetrics();
+  std::unique_ptr<core::IoPolicy> MakePolicy(ssd::BlockDevice& dev);
 
   TestbedConfig cfg_;
   // Destruction order matters, bottom-up at the `}`: components hold
-  // references into the shard simulators, so the engine is declared first
-  // (destroyed last), and the checker before everything it observes.
-  std::unique_ptr<sim::ShardedEngine> engine_;  // sharded mode only
-  std::unique_ptr<sim::Simulator> owned_sim_;   // plain mode only
-  sim::Simulator* sim_ = nullptr;               // client-domain simulator
-  int used_cores_ = 0;     // per-node target cores that host pipelines
+  // references into the simulator, so it is declared first (destroyed
+  // last), and the checker before everything it observes.
+  sim::Simulator sim_;
   int ssds_per_node_ = 1;  // num_ssds / nodes
-  // Per-shard observability (index = shard id), sharded + observed only.
-  std::vector<std::unique_ptr<obs::Observability>> shard_obs_;
-  std::vector<obs::EventTracer::Event> merge_buf_;
-  // Flat (rows x (1 + num_shards)) per-barrier trace buffer sizes —
-  // session tracer then each shard — the batch boundaries and splice
-  // points MergeShardTracers replays at the end of the run.
-  std::vector<size_t> trace_marks_;
-  size_t last_mark_total_ = 0;
-  bool tracers_live_ = false;  // shard tracers track the session Enable
-  // Owned checker when cfg.check is null; declared before the components
-  // it observes so it outlives their destructors.
+  // Owned checker when cfg.check is null.
   std::unique_ptr<check::InvariantChecker> owned_check_;
   check::InvariantChecker* check_ = nullptr;
   std::unique_ptr<fabric::Network> net_;

@@ -11,7 +11,9 @@
 //     binary heap (the hot-path overhaul changed no simulated result).
 //
 // Any ordering bug in the timing wheel, any stray RNG draw, or any event
-// scheduled differently between the engines changes the digest.
+// scheduled differently between the engines changes the digest. A testbed
+// advanced in many RunUntil slices must also record the same trace as one
+// advanced in a single call.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,14 +110,16 @@ uint64_t FaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   return obs.tracer.Digest();
 }
 
-// Multi-SSD testbed → the sharded engine (docs/SIMULATOR.md): shard 0 is
-// the client domain, each used target core a shard of its own. The digest
-// must not depend on the event-queue engine under the shards.
-uint64_t ShardedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
+// Multi-SSD testbed: every pipeline and the client domain share one event
+// queue and one fabric link per direction. Dense loads every SSD with a
+// victim and a write neighbour; sparse runs one queue-depth-1 tenant on one
+// of three SSDs, so the other pipelines idle for long stretches.
+uint64_t MultiSsdDigest(sim::EventQueue::Impl impl, uint64_t seed,
+                       bool sparse = false) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
-  cfg.num_ssds = 3;  // < target cores (4): one pipeline per core shard
+  cfg.num_ssds = 3;  // < target cores (4): one pipeline per core
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
@@ -123,28 +127,36 @@ uint64_t ShardedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   cfg.obs = &obs;
   cfg.run_label = "determinism_sharded";
   Testbed bed(cfg);
-  for (int s = 0; s < cfg.num_ssds; ++s) {
-    FioSpec victim;
-    victim.io_bytes = 4096;
-    victim.queue_depth = 16;
-    victim.seed = seed + static_cast<uint64_t>(s);
-    bed.AddWorker(victim, s);
-    FioSpec neighbor;
-    neighbor.io_bytes = 131072;
-    neighbor.queue_depth = 4;
-    neighbor.read_ratio = 0.0;
-    neighbor.seed = seed + 1000 + static_cast<uint64_t>(s);
-    bed.AddWorker(neighbor, s);
+  if (sparse) {
+    FioSpec lone;
+    lone.io_bytes = 131072;
+    lone.queue_depth = 1;
+    lone.seed = seed;
+    bed.AddWorker(lone, 0);
+  } else {
+    for (int s = 0; s < cfg.num_ssds; ++s) {
+      FioSpec victim;
+      victim.io_bytes = 4096;
+      victim.queue_depth = 16;
+      victim.seed = seed + static_cast<uint64_t>(s);
+      bed.AddWorker(victim, s);
+      FioSpec neighbor;
+      neighbor.io_bytes = 131072;
+      neighbor.queue_depth = 4;
+      neighbor.read_ratio = 0.0;
+      neighbor.seed = seed + 1000 + static_cast<uint64_t>(s);
+      bed.AddWorker(neighbor, s);
+    }
   }
   bed.Run(Milliseconds(5), Milliseconds(15));
   EXPECT_EQ(obs.tracer.dropped(), 0u);
   return obs.tracer.Digest();
 }
 
-// The faulted variant stresses the riskiest cross-shard machinery: per-SSD
-// fault RNG streams, link-flap draws at barrier replay, a device failure
-// on one shard and a tenant crash timer on the client shard.
-uint64_t ShardedFaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
+// The faulted multi-SSD variant: per-SSD fault RNG streams, link-flap draws
+// on the shared link, a device failure on one SSD and a tenant crash timer
+// on the client side.
+uint64_t MultiSsdFaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
@@ -221,33 +233,94 @@ TEST_P(DeterminismGolden, FaultedTraceDigestIsStable) {
 TEST_P(DeterminismGolden, ShardedTraceDigestIsStable) {
   const uint64_t seed = GetParam();
   const uint64_t wheel1 =
-      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+      MultiSsdDigest(sim::EventQueue::Impl::kTimingWheel, seed);
   const uint64_t wheel2 =
-      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  EXPECT_EQ(wheel1, wheel2) << "sharded wheel not deterministic, seed "
+      MultiSsdDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+  EXPECT_EQ(wheel1, wheel2) << "multi-SSD wheel not deterministic, seed "
                             << seed;
   const uint64_t heap =
-      ShardedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
+      MultiSsdDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
   EXPECT_EQ(wheel1, heap)
-      << "sharded timing wheel and reference heap diverged, seed " << seed;
+      << "multi-SSD timing wheel and reference heap diverged, seed " << seed;
+}
+
+TEST_P(DeterminismGolden, SparseMultiSsdTraceDigestIsStable) {
+  const uint64_t seed = GetParam();
+  const uint64_t wheel =
+      MultiSsdDigest(sim::EventQueue::Impl::kTimingWheel, seed, true);
+  const uint64_t heap =
+      MultiSsdDigest(sim::EventQueue::Impl::kReferenceHeap, seed, true);
+  EXPECT_EQ(wheel, heap)
+      << "sparse multi-SSD wheel and heap diverged, seed " << seed;
 }
 
 TEST_P(DeterminismGolden, ShardedFaultedTraceDigestIsStable) {
   const uint64_t seed = GetParam();
   const uint64_t wheel1 =
-      ShardedFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+      MultiSsdFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
   const uint64_t wheel2 =
-      ShardedFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  EXPECT_EQ(wheel1, wheel2) << "sharded wheel not deterministic, seed "
+      MultiSsdFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+  EXPECT_EQ(wheel1, wheel2) << "multi-SSD wheel not deterministic, seed "
                             << seed;
   const uint64_t heap =
-      ShardedFaultedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
+      MultiSsdFaultedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
   EXPECT_EQ(wheel1, heap)
-      << "sharded timing wheel and reference heap diverged, seed " << seed;
+      << "multi-SSD timing wheel and reference heap diverged, seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismGolden,
                          ::testing::Values(1u, 7u, 42u));
+
+// A traced 2-SSD testbed advanced in 200 RunUntil slices records the same
+// trace and runs the same events as one RunUntil over the same window:
+// RunUntil has no per-call work that could reorder, drop or duplicate
+// trace events.
+struct TraceRun {
+  uint64_t digest = 0;
+  size_t trace_events = 0;
+  uint64_t sim_events = 0;
+};
+
+TraceRun SlicedRun(int slices) {
+  obs::Observability obs;
+  obs.tracer.Enable(kTraceLimit);
+  TestbedConfig cfg;
+  cfg.num_ssds = 2;
+  cfg.scheme = Scheme::kGimbal;
+  cfg.condition = SsdCondition::kClean;
+  cfg.ssd.logical_bytes = 128ull << 20;
+  cfg.obs = &obs;
+  cfg.run_label = "determinism_sliced";
+  Testbed bed(cfg);
+  for (int s = 0; s < cfg.num_ssds; ++s) {
+    FioSpec victim;
+    victim.io_bytes = 4096;
+    victim.queue_depth = 16;
+    victim.seed = 5 + static_cast<uint64_t>(s);
+    bed.AddWorker(victim, s);
+    FioSpec neighbor;
+    neighbor.io_bytes = 131072;
+    neighbor.queue_depth = 4;
+    neighbor.read_ratio = 0.0;
+    neighbor.seed = 1005 + static_cast<uint64_t>(s);
+    bed.AddWorker(neighbor, s);
+  }
+  for (auto& w : bed.workers()) w->Start();
+  const Tick window = Milliseconds(10);
+  for (int i = 1; i <= slices; ++i) bed.sim().RunUntil(window * i / slices);
+  EXPECT_EQ(obs.tracer.dropped(), 0u);
+  return TraceRun{obs.tracer.Digest(), obs.tracer.size(),
+                  bed.sim().events_executed()};
+}
+
+TEST(DeterminismGolden, SlicedRunUntilMatchesOneRunUntil) {
+  const TraceRun one = SlicedRun(1);
+  const TraceRun sliced = SlicedRun(200);
+  EXPECT_GT(one.trace_events, 0u);
+  EXPECT_EQ(sliced.digest, one.digest);
+  EXPECT_EQ(sliced.trace_events, one.trace_events);
+  EXPECT_EQ(sliced.sim_events, one.sim_events);
+}
 
 // Digests must also *differ* when the workload differs — a constant hash
 // would pass the equality tests above while checking nothing.

@@ -3,6 +3,9 @@
 // baseline policies in isolation (NULL device).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "baselines/flashfq_policy.h"
 #include "baselines/parda_policy.h"
 #include "baselines/reflex_policy.h"
@@ -59,6 +62,103 @@ TEST(Network, DirectionsAreIndependent) {
   sim.Run();
   // Full duplex: both complete around the same time.
   EXPECT_NEAR(static_cast<double>(up), static_cast<double>(down), 1000.0);
+}
+
+// The tests below compute delivery times by hand. Links run at 1 byte/ns
+// and the rack uplink at 0.5 byte/ns; TransferTime rounds up by one tick,
+// so 1000 B takes 1001 ns on a link and 2001 ns on the uplink, and 4000 B
+// takes 4001 and 8001.
+fabric::NetworkConfig HandNet() {
+  fabric::NetworkConfig cfg;
+  cfg.bandwidth_bps = 1e9;
+  cfg.base_latency = Microseconds(5);
+  return cfg;
+}
+
+TEST(Network, SameTickSendsFromTwoPipelinesSerializeInIssueOrder) {
+  sim::Simulator sim;
+  Network net(sim, HandNet());
+  std::vector<std::pair<int, Tick>> got;  // (tag, delivery time)
+  auto send = [&](Direction dir, int ssd, uint64_t bytes, int tag) {
+    net.Send(dir, ssd, bytes, [&got, &sim, tag]() {
+      got.emplace_back(tag, sim.now());
+    });
+  };
+  // Two pipelines complete at the same tick; pipeline 1's event was
+  // scheduled first, so it takes the target-to-client link first.
+  sim.At(1000, [&]() { send(Direction::kTargetToClient, 1, 4000, 1); });
+  sim.At(1000, [&]() { send(Direction::kTargetToClient, 0, 2000, 0); });
+  // The other direction has a link of its own.
+  sim.At(1000, [&]() { send(Direction::kClientToTarget, 0, 1000, 2); });
+  sim.Run();
+  // ssd 1: 1000 + 4001 = 5001 on the link, + 5000 base = 10001.
+  // ssd 0: starts at the frontier 5001, + 2001 = 7002, + 5000 = 12002.
+  // c2t:   1000 + 1001 = 2001, + 5000 = 7001.
+  const std::vector<std::pair<int, Tick>> want = {
+      {2, 7001}, {1, 10001}, {0, 12002}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(net.bytes_sent(), 7000u);
+}
+
+TEST(Network, RackStoresAndForwardsOverUplinkAndAccessLink) {
+  sim::Simulator sim;
+  Network net(sim, HandNet());
+  net.ConfigureRack({0, 1}, 2, 5e8);
+  Tick big = -1, small = -1;
+  // Client to target: the uplink first, then the node's access link.
+  net.Send(Direction::kClientToTarget, 0, 4000, [&]() { big = sim.now(); });
+  net.Send(Direction::kClientToTarget, 1, 1000, [&]() { small = sim.now(); });
+  sim.Run();
+  // big:   uplink 0 -> 8001, node 0 access 8001 -> 12002, + 5000 = 17002.
+  // small: uplink 8001 -> 10002 (behind big), node 1 access 10002 -> 11003,
+  //        + 5000 = 16003: it overtakes big on its own access link.
+  EXPECT_EQ(big, 17002);
+  EXPECT_EQ(small, 16003);
+
+  // Target to client, the reverse: access link first, then the uplink.
+  const Tick t0 = sim.now();
+  net.Send(Direction::kTargetToClient, 0, 4000, [&]() { big = sim.now(); });
+  net.Send(Direction::kTargetToClient, 1, 1000, [&]() { small = sim.now(); });
+  sim.Run();
+  // big:   node 0 access t0 -> t0+4001, uplink -> t0+12002, + 5000.
+  // small: node 1 access t0 -> t0+1001, then waits for big on the uplink:
+  //        t0+12002 -> t0+14003, + 5000.
+  EXPECT_EQ(big, t0 + 17002);
+  EXPECT_EQ(small, t0 + 19003);
+  EXPECT_EQ(net.uplink_bytes(), 10000u);
+  EXPECT_EQ(net.node_uplink_bytes(0), 8000u);
+  EXPECT_EQ(net.node_uplink_bytes(1), 2000u);
+}
+
+TEST(Network, NodeOutageDropIsDecidedAtSendTime) {
+  sim::Simulator sim;
+  Network net(sim, HandNet());
+  net.ConfigureRack({0, 1}, 2, 5e8);
+  net.AddNodeOutage(1, 10000, 20000);
+  std::vector<std::pair<int, Tick>> got;
+  auto send_at = [&](Tick at, Direction dir, int ssd, int tag) {
+    sim.At(at, [&, dir, ssd, tag]() {
+      net.Send(dir, ssd, 1000, [&got, &sim, tag]() {
+        got.emplace_back(tag, sim.now());
+      });
+    });
+  };
+  send_at(9999, Direction::kClientToTarget, 1, 0);   // before: delivered
+  send_at(10000, Direction::kClientToTarget, 1, 1);  // window opens: drop
+  send_at(12000, Direction::kTargetToClient, 1, 2);  // from the node: drop
+  send_at(15000, Direction::kClientToTarget, 0, 3);  // other node: delivered
+  send_at(19999, Direction::kClientToTarget, 1, 4);  // last tick: drop
+  send_at(20000, Direction::kClientToTarget, 1, 5);  // recovered: delivered
+  sim.Run();
+  // 0: uplink 9999 -> 12000, access 12000 -> 13001, + 5000 = 18001 — it
+  //    lands inside the outage, but was sent before it.
+  // 3: uplink 15000 -> 17001, access 17001 -> 18002, + 5000 = 23002.
+  // 5: uplink 20000 -> 22001, access 22001 -> 23002, + 5000 = 28002.
+  const std::vector<std::pair<int, Tick>> want = {
+      {0, 18001}, {3, 23002}, {5, 28002}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(net.node_drops(), 3u);
+  EXPECT_EQ(net.uplink_bytes(), 3000u);
 }
 
 // ---------------------------------------------------------------------------

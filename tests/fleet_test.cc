@@ -1,7 +1,7 @@
 // Tests for the tenant-scale open-loop fleet (src/workload/fleet.h) and the
 // per-tenant arena plumbing underneath it:
 //
-//   * churn storm — ~100k connect/disconnect cycles on a sharded 2-SSD
+//   * churn storm — ~100k connect/disconnect cycles on a 2-SSD
 //     testbed must drain to nothing: no live target sessions, no scheduler
 //     tenants, every arena slot recycled, ledgers balanced;
 //   * weight-leak regression — SetTenantWeight + Disconnect must reap the
@@ -31,7 +31,7 @@ TestbedConfig ChurnConfig(obs::Observability* obs) {
   TestbedConfig cfg;
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
-  cfg.num_ssds = 2;  // >1 SSD + fabric latency => sharded engine
+  cfg.num_ssds = 2;
   cfg.ssd.logical_bytes = 64ull << 20;
   cfg.obs = obs;
   cfg.run_label = "fleet_churn";

@@ -140,9 +140,7 @@ ChaosOutcome RunChaos(Mix mix, uint64_t seed) {
 
   int recovered = 0;
   if (mix == Mix::kTenantCrash) {
-    // Instance 0 "process" dies mid-burst and replays its WAL. Scheduled
-    // on the client shard, where the DB lives, so it is deterministic
-    // under sharding.
+    // Instance 0 "process" dies mid-burst and replays its WAL.
     KvDb* db0 = insts[0]->db.get();
     cluster.sim().After(Milliseconds(60), [db0, &recovered] {
       db0->SimulateCrash();

@@ -150,8 +150,7 @@ TEST(KvFault, DegradedWritesAckAndRebuildDrainsAfterRecovery) {
   EXPECT_GT(bs.rebuild_bytes, 0u);
 
   // Observability: the kv.* series carry the same story, and the
-  // must-stay-zero counter is zero. Shard-local totals publish to the
-  // session registry on flush.
+  // must-stay-zero counter is zero.
   cluster.bed().FlushObservability();
   auto& m = obs.metrics;
   const obs::Labels l = obs::Labels::TenantSsd(inst.id, -1);

@@ -1,12 +1,11 @@
-// Tests for the open-loop (Poisson) worker, trace parsing/generation,
-// trace replay, the timeslice baseline, and inline small-write capsules.
+// Tests for the open-loop (Poisson) worker, the timeslice baseline, and
+// inline small-write capsules.
 #include <gtest/gtest.h>
 
 #include "baselines/timeslice_policy.h"
 #include "ssd/null_device.h"
 #include "workload/openloop.h"
 #include "workload/runner.h"
-#include "workload/trace.h"
 
 namespace gimbal::workload {
 namespace {
@@ -74,71 +73,6 @@ TEST(OpenLoop, LatencyExplodesPastKnee) {
   // Device 4K read capacity ~400K IOPS: 200K is comfortable, 500K is past
   // the knee — open-loop latency must blow up by an order of magnitude.
   EXPECT_GT(p99_at(500'000), 10 * p99_at(200'000));
-}
-
-TEST(TraceParse, ParsesAndSorts) {
-  Trace t = ParseTrace(
-      "# comment\n"
-      "2000 W 8192 4096 2\n"
-      "\n"
-      "1000 R 0 4096\n");
-  ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].at, 1000);
-  EXPECT_EQ(t[0].type, IoType::kRead);
-  EXPECT_EQ(t[1].type, IoType::kWrite);
-  EXPECT_EQ(t[1].priority, IoPriority::kLow);
-}
-
-TEST(TraceParse, RejectsGarbage) {
-  EXPECT_THROW(ParseTrace("1000 X 0 4096\n"), std::runtime_error);
-  EXPECT_THROW(ParseTrace("not a trace\n"), std::runtime_error);
-  EXPECT_THROW(ParseTrace("-5 R 0 4096\n"), std::runtime_error);
-}
-
-TEST(TraceGen, BurstyAlternatesOnOff) {
-  BurstySpec spec;
-  spec.burst_iops = 100'000;
-  spec.burst_duration = Milliseconds(10);
-  spec.idle_duration = Milliseconds(40);
-  spec.total = Milliseconds(200);
-  spec.region_bytes = 1 << 30;
-  Trace t = GenerateBurstyTrace(spec);
-  ASSERT_GT(t.size(), 100u);
-  // All arrivals fall inside ON windows (50 ms period, first 10 ms on).
-  for (const auto& r : t) {
-    Tick phase = r.at % Milliseconds(50);
-    EXPECT_LT(phase, Milliseconds(10) + Microseconds(200));
-  }
-}
-
-TEST(TraceReplay, IssuesAtRecordedTimes) {
-  Testbed bed(NullBed());
-  fabric::Initiator& init = bed.AddInitiator(0);
-  Trace t = ParseTrace(
-      "0 R 0 4096\n"
-      "5000000 R 4096 4096\n"   // 5 ms
-      "9000000 W 8192 4096\n");  // 9 ms
-  TraceWorker w(bed.sim(), init, t);
-  w.Start();
-  bed.sim().RunUntil(Milliseconds(4));
-  EXPECT_EQ(w.issued(), 1u);
-  bed.sim().RunUntil(Milliseconds(8));
-  EXPECT_EQ(w.issued(), 2u);
-  bed.sim().RunUntil(Milliseconds(20));
-  EXPECT_EQ(w.issued(), 3u);
-  EXPECT_TRUE(w.finished());
-  EXPECT_EQ(w.stats().write_ios, 1u);
-}
-
-TEST(TraceReplay, LoopsWhenAsked) {
-  Testbed bed(NullBed());
-  fabric::Initiator& init = bed.AddInitiator(0);
-  Trace t = ParseTrace("0 R 0 4096\n1000000 R 4096 4096\n");
-  TraceWorker w(bed.sim(), init, t, /*loop=*/true);
-  w.Start();
-  bed.sim().RunUntil(Milliseconds(10));
-  w.Stop();
-  EXPECT_GE(w.issued(), 10u);
 }
 
 // ---------------------------------------------------------------------------
